@@ -1,8 +1,9 @@
 """Reference protocols run under the same compute budget as the main one.
 
-All three use the same local-training rule (tasks[j].train, local_steps
-steps at rate grad_drift * step_size), so a comparison at equal rounds is a
-comparison at equal gradient work.
+All three use the same local-training rule as the main protocol
+(learners.train_agents: local_steps steps at rate grad_drift * step_size,
+batched over agents for stacked shards), so a comparison at equal rounds is
+a comparison at equal gradient work.
 """
 
 from dataclasses import dataclass
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
+from .learners import candidate_losses, train_agents
 
 
 def _check_finite(models, who):
@@ -20,10 +22,9 @@ def _check_finite(models, who):
 def fedavg_round(global_model, tasks, hp, streams):
     """Every agent trains from the shared global model; uniform average."""
     rate = hp.grad_drift * hp.step_size
-    locals_ = np.stack([
-        tasks[j].train(global_model, hp.local_steps, rate, streams[j])
-        for j in range(len(tasks))
-    ])
+    n_agents = len(tasks)
+    locals_ = train_agents(tasks, np.tile(global_model, (n_agents, 1)),
+                           np.arange(n_agents), hp.local_steps, rate, streams)
     new_global = locals_.mean(axis=0)
     _check_finite(new_global, "fedavg")
     return new_global
@@ -48,20 +49,18 @@ def ifca_round(server_models, tasks, hp, streams):
     n_models = server_models.shape[0]
     rate = hp.grad_drift * hp.step_size
 
-    assignments = np.empty(len(tasks), dtype=int)
-    losses = np.empty(len(tasks))
-    updates = []
-    for j, task in enumerate(tasks):
-        model_losses = [task.loss(server_models[m]) for m in range(n_models)]
-        pick = int(np.argmin(model_losses))  # argmin takes the first = lowest id
-        assignments[j] = pick
-        losses[j] = model_losses[pick]
-        updates.append(task.train(server_models[pick], hp.local_steps, rate, streams[j]))
+    agents = np.arange(len(tasks))
+    model_losses = candidate_losses(
+        tasks, agents, np.broadcast_to(server_models, (len(tasks),) + server_models.shape))
+    assignments = np.argmin(model_losses, axis=1)  # argmin takes the first = lowest id
+    losses = model_losses[agents, assignments]
+    updates = train_agents(tasks, server_models[assignments], agents, hp.local_steps,
+                           rate, streams)
 
     new_models = server_models.copy()
     for m in range(n_models):
-        adopters = [updates[j] for j in range(len(tasks)) if assignments[j] == m]
-        if adopters:
+        adopters = updates[assignments == m]
+        if len(adopters):
             new_models[m] = np.mean(adopters, axis=0)
     _check_finite(new_models, "ifca")
     return IfcaRound(models=new_models, assignments=assignments,
@@ -71,9 +70,7 @@ def ifca_round(server_models, tasks, hp, streams):
 def local_only_round(models, tasks, hp, streams):
     """Every agent trains alone; no communication at all."""
     rate = hp.grad_drift * hp.step_size
-    new_models = np.stack([
-        tasks[j].train(models[j], hp.local_steps, rate, streams[j])
-        for j in range(len(tasks))
-    ])
+    new_models = train_agents(tasks, models, np.arange(len(tasks)), hp.local_steps,
+                              rate, streams)
     _check_finite(new_models, "local")
     return new_models

@@ -236,8 +236,23 @@ def _validate_problem(problem, problems):
         _require_number("problem", "scale", problem["scale"], problems, minimum=0, strict=True)
         _require_number("problem", "init_std", problem["init_std"], problems,
                         minimum=0, strict=True)
-        if problem["centers"] is not None and not isinstance(problem["centers"], list):
-            problems.append("problem.centers: expected a list of points or null")
+        _validate_centers(problem["centers"], problem["dim"], problems)
+
+
+def _validate_centers(centers, dim, problems):
+    if centers is None:
+        return
+    if not isinstance(centers, list) or not centers:
+        problems.append("problem.centers: expected a nonempty list of points or null")
+        return
+    check_length = isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1
+    for k, center in enumerate(centers):
+        if not isinstance(center, list) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in center):
+            problems.append(f"problem.centers[{k}]: expected a list of numbers, got {center!r}")
+        elif check_length and len(center) != dim:
+            problems.append(f"problem.centers[{k}]: has {len(center)} coordinates, "
+                            f"dim is {dim}")
 
 
 def _validate_hyperparams(hp, problems):
@@ -250,6 +265,10 @@ def _validate_hyperparams(hp, problems):
         _require_number("hyperparams", key, hp[key], problems, minimum=0, integer=True)
     for key in ("eps_start", "eps_decay", "eps_floor"):
         _require_number("hyperparams", key, hp[key], problems, minimum=0)
+    for key in ("eps_start", "eps_floor"):
+        value = hp[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and value > 1:
+            problems.append(f"hyperparams.{key}: must be <= 1, got {value}")
     _require_number("hyperparams", "momentum", hp["momentum"], problems, minimum=0)
     if isinstance(hp["momentum"], (int, float)) and not isinstance(hp["momentum"], bool):
         if hp["momentum"] >= 1.0:

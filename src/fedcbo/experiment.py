@@ -5,7 +5,8 @@ File layout of a completed run directory:
 
     metrics_seed<S>.jsonl   one record per round (or per recorded SDE step)
     summary.csv             final-round metrics, mean and std across seeds
-    manifest.json           resolved config, hashes, timing; written last
+    manifest.json           resolved config, hashes, timing, per-seed round
+                            counters; written last
 
 The manifest is written only after every metric file is complete, so a
 directory without one is detectably incomplete.  Metric files contain no
@@ -16,6 +17,7 @@ config and seed.
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +28,8 @@ from . import rng as rng_mod
 from .baselines import fedavg_round, ifca_round, local_only_round
 from .diagnostics import write_csv
 from .errors import ConfigError
-from .learners import ShardTask, accuracy, generate_clustered_data, make_model
+from .learners import (ShardTasks, accuracy, agent_blocks, candidate_losses,
+                       generate_clustered_data, make_model)
 from .objectives import make_centers_problem, make_well_problem
 from .protocol import (LikelihoodMatrix, ObjectiveTask, fedcbo_round,
                        oracle_sr, selection_ratio)
@@ -88,10 +91,8 @@ def build_setup(config, seed):
     )
     arch = make_model(problem["model"], problem["input_dim"], problem["n_classes"],
                       hidden=problem["hidden"], activation=problem["activation"])
-    tasks = [
-        ShardTask(arch, x, y, batch_size=hp.batch_size, momentum=hp.momentum)
-        for (x, y) in dataset.shards
-    ]
+    tasks = ShardTasks(arch, dataset.x, dataset.y, batch_size=hp.batch_size,
+                       momentum=hp.momentum)
     models = np.stack([
         arch.init_params(rng_mod.stream(seed, rng_mod.INIT, j),
                          scale=problem["init_scale"])
@@ -125,7 +126,10 @@ def _per_agent_accuracy(setup, models):
     for k in range(setup.n_clusters):
         x, y = setup.dataset.test_sets[k]
         members = np.flatnonzero(setup.agent_cluster == k)
-        accs = [accuracy(setup.model_arch, models[j], x, y) for j in members]
+        accs = np.concatenate([
+            accuracy(setup.model_arch, models[members[block]], x, y)
+            for block in agent_blocks(len(members), len(x) * setup.model_arch.width)
+        ])
         per_cluster.append(float(np.mean(accs)))
     return per_cluster
 
@@ -169,14 +173,21 @@ def _attach_variance(record, setup, models):
     record["v_sum"] = float(np.nansum(v))
 
 
-def _mean_own_loss(setup, model_for_agent):
-    return float(np.mean([
-        setup.tasks[j].loss(model_for_agent(j)) for j in range(setup.n_agents)
-    ]))
+def _mean_own_loss(setup, models):
+    """Mean over agents of the loss of models[j] (a row) on agent j's data."""
+    losses = candidate_losses(setup.tasks, np.arange(setup.n_agents), models[:, None])
+    return float(np.mean(losses[:, 0]))
+
 
 
 def run_protocol(config, seed, keep_logs=False):
-    """Run one protocol for one seed; returns (records, final_state)."""
+    """Run one protocol for one seed; returns (records, final_state).
+
+    ``final_state["counters"]`` totals the fedcbo round counters (see
+    protocol.RoundLog; empty for the baselines).  They belong in the
+    manifest, never in the metric files.  A clamped download budget is
+    logged once per run.
+    """
     setup = build_setup(config, seed)
     hp = config.hp()
     rounds = config.schedule["rounds"]
@@ -195,6 +206,7 @@ def run_protocol(config, seed, keep_logs=False):
         if setup.benchmark is not None:
             _attach_variance(record, setup, models_per_agent)
 
+    counters = Counter()
     if protocol == "fedcbo":
         models = setup.initial_models.copy()
         scores = LikelihoodMatrix(setup.n_agents)
@@ -204,6 +216,11 @@ def run_protocol(config, seed, keep_logs=False):
                 models, setup.tasks, scores, hp, n, streams,
                 participation=participation, round_rng=round_rng,
             )
+            if entry.budget_clamps and not counters["budget_clamps"]:
+                log.warning("download budget %d exceeds %d available peers; clamping "
+                            "(reported once per run)", hp.download_budget,
+                            len(entry.participants) - 1)
+            counters.update(entry.counters())
             record = _base_record(n, len(entry.participants))
             record["eps"] = float(entry.eps)
             record["sr"] = selection_ratio(entry.selections, setup.agent_cluster)
@@ -220,7 +237,7 @@ def run_protocol(config, seed, keep_logs=False):
         for n in range(rounds):
             models = local_only_round(models, setup.tasks, hp, streams)
             record = _base_record(n, setup.n_agents)
-            record["mean_local_loss"] = _mean_own_loss(setup, lambda j: models[j])
+            record["mean_local_loss"] = _mean_own_loss(setup, models)
             finish_record(record, models)
             records.append(record)
         final = {"models": models, "setup": setup}
@@ -230,8 +247,8 @@ def run_protocol(config, seed, keep_logs=False):
         for n in range(rounds):
             global_model = fedavg_round(global_model, setup.tasks, hp, streams)
             record = _base_record(n, setup.n_agents)
-            record["mean_local_loss"] = _mean_own_loss(setup, lambda j: global_model)
             tiled = np.tile(global_model, (setup.n_agents, 1))
+            record["mean_local_loss"] = _mean_own_loss(setup, tiled)
             finish_record(record, tiled, candidates=[global_model])
             records.append(record)
         final = {"models": global_model, "setup": setup}
@@ -254,6 +271,7 @@ def run_protocol(config, seed, keep_logs=False):
     else:
         raise ConfigError([f"protocol: unknown protocol {protocol!r}"])
 
+    final["counters"] = dict(counters)
     return records, final
 
 
@@ -336,6 +354,7 @@ def run_experiment(config, out_dir=None, keep_logs=False):
     tracker = _OutputTracker(out_dir)
     started = time.time()
     wall_times = {}
+    counters = {}
     finals = []
     all_logs = {}
     try:
@@ -343,6 +362,7 @@ def run_experiment(config, out_dir=None, keep_logs=False):
             t0 = time.time()
             records, final = run_protocol(config, seed, keep_logs=keep_logs)
             wall_times[str(seed)] = round(time.time() - t0, 3)
+            counters[str(seed)] = final["counters"]
             _write_jsonl(tracker.path(f"metrics_seed{seed}.jsonl"), records)
             finals.append(records[-1] if records else None)
             if keep_logs:
@@ -365,6 +385,7 @@ def run_experiment(config, out_dir=None, keep_logs=False):
         "started_at": started,
         "finished_at": time.time(),
         "wall_time_s": wall_times,
+        "counters": counters,
     }
     _finalize(tracker, manifest)
     if keep_logs:

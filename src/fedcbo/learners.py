@@ -12,6 +12,7 @@ machinery can treat them as points in R^d.
 """
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,24 +24,58 @@ from .objectives import DEFAULT_GRAD_BOUND, Objective, clamp_gradient
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # A running maximum over the few class columns is much faster than a max
+    # reduction over a short last axis.  It can differ from that reduction
+    # only in the sign of a zero, which exp() does not see.
+    top = logits[..., :1].copy()
+    for k in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., k:k + 1], out=top)
+    e = np.exp(logits - top)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _label_index(probs, labels):
+    """``labels`` shaped as take/put_along_axis indices into ``probs``."""
+    index = labels[..., None]
+    return index.reshape((1,) * (probs.ndim - index.ndim) + index.shape)
 
 
 def _cross_entropy(probs, labels):
-    n = labels.shape[0]
-    p = np.clip(probs[np.arange(n), labels], 1e-300, None)
-    return float(-np.mean(np.log(p)))
+    # take_along_axis, unlike probs[..., arange(n), labels], yields a
+    # contiguous (..., n) array, so the mean sums in the same order for a
+    # batch as for a single model.
+    picked = np.take_along_axis(probs, _label_index(probs, labels), axis=-1)[..., 0]
+    p = np.clip(picked, 1e-300, None)
+    return -np.mean(np.log(p), axis=-1)
+
+
+def _output_delta(probs, labels):
+    """d(mean cross-entropy)/d(logits), computed in place of ``probs``."""
+    index = _label_index(probs, labels)
+    np.put_along_axis(probs, index,
+                      np.take_along_axis(probs, index, axis=-1) - 1.0, axis=-1)
+    probs /= labels.shape[-1]
+    return probs
+
+
+def _t(a):
+    return a.swapaxes(-1, -2)
 
 
 class LogisticModel:
-    """Multinomial logistic regression; params = [W.ravel(), b]."""
+    """Multinomial logistic regression; params = [W.ravel(), b].
+
+    Every method takes a parameter array of shape (..., n_params) with data
+    x (..., n, d) and labels y (..., n) whose leading dimensions broadcast
+    against it, and returns one result per model.  A single flat vector is
+    the batch-of-one case of the same arithmetic, bit for bit.
+    """
 
     def __init__(self, input_dim, n_classes):
         self.input_dim = input_dim
         self.n_classes = n_classes
         self.n_params = input_dim * n_classes + n_classes
+        self.width = max(input_dim, n_classes)   # widest per-sample activation
 
     def init_params(self, rng, scale=None):
         if scale is None:
@@ -49,34 +84,34 @@ class LogisticModel:
 
     def _unpack(self, theta):
         d, c = self.input_dim, self.n_classes
-        w = theta[: d * c].reshape(d, c)
-        b = theta[d * c:]
+        lead = theta.shape[:-1]
+        w = theta[..., : d * c].reshape(lead + (d, c))
+        b = theta[..., d * c:]
         return w, b
 
     def logits(self, theta, x):
         w, b = self._unpack(theta)
-        return x @ w + b
+        return x @ w + b[..., None, :]
 
     def loss(self, theta, x, y):
         return _cross_entropy(_softmax(self.logits(theta, x)), y)
 
     def loss_grad(self, theta, x, y):
-        n = x.shape[0]
+        lead = theta.shape[:-1]
         probs = _softmax(self.logits(theta, x))
         loss = _cross_entropy(probs, y)
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grad_w = x.T @ delta
-        grad_b = delta.sum(axis=0)
-        return loss, np.concatenate([grad_w.ravel(), grad_b])
+        delta = _output_delta(probs, y)
+        grad_w = _t(x) @ delta
+        grad_b = delta.sum(axis=-2)
+        return loss, np.concatenate([grad_w.reshape(lead + (-1,)), grad_b], axis=-1)
 
 
 class MlpModel:
     """One-hidden-layer MLP with hand-coded backprop.
 
     params = [W1.ravel(), b1, W2.ravel(), b2].  Activation is tanh by
-    default; relu is available for parity with larger setups.
+    default; relu is available for parity with larger setups.  Shapes
+    broadcast as for ``LogisticModel``.
     """
 
     def __init__(self, input_dim, hidden, n_classes, activation="tanh"):
@@ -87,6 +122,7 @@ class MlpModel:
         self.n_classes = n_classes
         self.activation = activation
         self.n_params = input_dim * hidden + hidden + hidden * n_classes + n_classes
+        self.width = max(input_dim, hidden, n_classes)
 
     def init_params(self, rng, scale=None):
         d, h, c = self.input_dim, self.hidden, self.n_classes
@@ -100,18 +136,19 @@ class MlpModel:
 
     def _unpack(self, theta):
         d, h, c = self.input_dim, self.hidden, self.n_classes
+        lead = theta.shape[:-1]
         i = 0
-        w1 = theta[i:i + d * h].reshape(d, h); i += d * h
-        b1 = theta[i:i + h]; i += h
-        w2 = theta[i:i + h * c].reshape(h, c); i += h * c
-        b2 = theta[i:]
+        w1 = theta[..., i:i + d * h].reshape(lead + (d, h)); i += d * h
+        b1 = theta[..., i:i + h]; i += h
+        w2 = theta[..., i:i + h * c].reshape(lead + (h, c)); i += h * c
+        b2 = theta[..., i:]
         return w1, b1, w2, b2
 
     def _forward(self, theta, x):
         w1, b1, w2, b2 = self._unpack(theta)
-        pre = x @ w1 + b1
+        pre = x @ w1 + b1[..., None, :]
         hid = np.tanh(pre) if self.activation == "tanh" else np.maximum(pre, 0.0)
-        return pre, hid, hid @ w2 + b2
+        return pre, hid, hid @ w2 + b2[..., None, :]
 
     def logits(self, theta, x):
         return self._forward(theta, x)[2]
@@ -121,24 +158,23 @@ class MlpModel:
 
     def loss_grad(self, theta, x, y):
         w1, b1, w2, b2 = self._unpack(theta)
-        n = x.shape[0]
+        lead = theta.shape[:-1]
         pre, hid, logits = self._forward(theta, x)
         probs = _softmax(logits)
         loss = _cross_entropy(probs, y)
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        grad_w2 = hid.T @ delta
-        grad_b2 = delta.sum(axis=0)
-        back = delta @ w2.T
+        delta = _output_delta(probs, y)
+        grad_w2 = _t(hid) @ delta
+        grad_b2 = delta.sum(axis=-2)
+        back = delta @ _t(w2)
         if self.activation == "tanh":
             back = back * (1.0 - hid * hid)
         else:
             back = back * (pre > 0.0)
-        grad_w1 = x.T @ back
-        grad_b1 = back.sum(axis=0)
+        grad_w1 = _t(x) @ back
+        grad_b1 = back.sum(axis=-2)
         return loss, np.concatenate(
-            [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
+            [grad_w1.reshape(lead + (-1,)), grad_b1, grad_w2.reshape(lead + (-1,)), grad_b2],
+            axis=-1,
         )
 
 
@@ -151,11 +187,12 @@ def make_model(kind, input_dim, n_classes, hidden=16, activation="tanh"):
 
 
 def predict(model, theta, x):
-    return np.argmax(model.logits(theta, x), axis=1)
+    return np.argmax(model.logits(theta, x), axis=-1)
 
 
 def accuracy(model, theta, x, y):
-    return float(np.mean(predict(model, theta, x) == y))
+    """Share of correct predictions, one per model in ``theta`` (..., n_params)."""
+    return np.mean(predict(model, theta, x) == y, axis=-1)
 
 
 def empirical_loss(model, x, y, grad_bound=DEFAULT_GRAD_BOUND):
@@ -192,13 +229,58 @@ def sgd_step(theta, model, x, y, rate, batch_size=None, rng=None,
     return theta - rate * clamp_gradient(g, grad_bound)
 
 
+def _clamp_each(grads, bound):
+    """``clamp_gradient`` applied to every row of ``grads`` in place.
+
+    Row norms come from the same BLAS dot product ``np.linalg.norm`` uses on
+    a single vector, so the result matches clamping row by row bit for bit.
+    """
+    if bound <= 0:
+        raise InvalidParameterError(f"gradient bound must be positive, got {bound}")
+    norms = np.sqrt([g.dot(g) for g in grads])
+    over = ~(norms <= bound)
+    if over.any():
+        grads[over] *= (bound / norms[over])[:, None]
+    return grads
+
+
+def local_sgd(model, thetas, x, y, steps, rate, streams, batch_size=None,
+              momentum=0.0, grad_bound=DEFAULT_GRAD_BOUND):
+    """``steps`` clamped momentum-SGD steps of every model in ``thetas``.
+
+    ``thetas`` is (b, n_params); model r trains on x[r], y[r] of shapes
+    (b, n, d) and (b, n).  With ``batch_size`` below n, model r draws each
+    step's mini-batch without replacement from ``streams[r]``, step after
+    step, exactly as a one-model call on that stream would.  The momentum
+    buffer is local to the call.  Returns the trained (b, n_params) copy.
+    """
+    thetas = np.array(thetas, dtype=float)
+    n = x.shape[-2]
+    use_batch = batch_size is not None and batch_size < n
+    rows = np.arange(len(thetas))[:, None]
+    velocity = np.zeros_like(thetas)
+    for _ in range(steps):
+        if use_batch:
+            idx = np.stack([rng.choice(n, size=batch_size, replace=False)
+                            for rng in streams])
+            xb, yb = x[rows, idx], y[rows, idx]
+        else:
+            xb, yb = x, y
+        _, g = model.loss_grad(thetas, xb, yb)
+        g = _clamp_each(g, grad_bound)
+        velocity = momentum * velocity + g
+        thetas = thetas - rate * velocity
+    return thetas
+
+
 @dataclass
 class ShardTask:
     """An agent's private data plus its local-training behavior.
 
     ``train`` runs the requested number of SGD steps with a momentum buffer
     local to the call; ``loss`` is the deterministic full-shard loss used
-    for consensus weights and likelihood updates.
+    for consensus weights and likelihood updates.  Both are the
+    batch-of-one case of the model's batched kernels.
     """
 
     model: object
@@ -212,39 +294,124 @@ class ShardTask:
         return self.model.loss(np.asarray(theta, dtype=float), self.x, self.y)
 
     def train(self, theta, steps, rate, rng):
-        theta = np.asarray(theta, dtype=float).copy()
-        n = self.x.shape[0]
-        use_batch = self.batch_size is not None and self.batch_size < n
-        velocity = np.zeros_like(theta)
-        for _ in range(steps):
-            if use_batch:
-                idx = rng.choice(n, size=self.batch_size, replace=False)
-                xb, yb = self.x[idx], self.y[idx]
-            else:
-                xb, yb = self.x, self.y
-            _, g = self.model.loss_grad(theta, xb, yb)
-            g = clamp_gradient(g, self.grad_bound)
-            velocity = self.momentum * velocity + g
-            theta = theta - rate * velocity
-        return theta
+        theta = np.asarray(theta, dtype=float)
+        return local_sgd(self.model, theta[None], self.x[None], self.y[None],
+                         steps, rate, [rng], batch_size=self.batch_size,
+                         momentum=self.momentum, grad_bound=self.grad_bound)[0]
+
+
+# Batched kernels walk the agents in blocks sized so that their largest
+# temporary holds about this many doubles (1 MiB); this bounds the extra
+# memory of a round whatever the number of agents.
+BLOCK_DOUBLES = 1 << 17
+
+
+def agent_blocks(n_agents, per_agent):
+    """Consecutive slices covering ``n_agents`` agents, each of at most
+    BLOCK_DOUBLES // per_agent agents (``per_agent``: doubles per agent)."""
+    size = max(1, BLOCK_DOUBLES // max(1, per_agent))
+    return [slice(i, i + size) for i in range(0, n_agents, size)]
+
+
+class ShardTasks(Sequence):
+    """Every agent's ShardTask over shards stacked as x (A, n, d), y (A, n).
+
+    Indexing gives the per-agent ShardTask (a view of its shard).
+    ``train_agents`` and ``candidate_losses`` recognise this type and run
+    the batched kernels over blocks of agents instead of one agent at a
+    time; the results are the same bit for bit.
+    """
+
+    def __init__(self, model, x, y, batch_size=None, momentum=0.0,
+                 grad_bound=DEFAULT_GRAD_BOUND):
+        self.model, self.x, self.y = model, x, y
+        self.batch_size, self.momentum, self.grad_bound = batch_size, momentum, grad_bound
+        self._tasks = [ShardTask(model, x[j], y[j], batch_size=batch_size,
+                                 momentum=momentum, grad_bound=grad_bound)
+                       for j in range(len(x))]
+
+    def __getitem__(self, j):
+        return self._tasks[j]
+
+    def __len__(self):
+        return len(self._tasks)
+
+    def train(self, thetas, agents, steps, rate, streams):
+        """Train agents[r] from thetas[r] on its own shard and stream."""
+        out = np.empty_like(thetas)
+        for block in agent_blocks(len(agents), self.x.shape[1] * self.model.width):
+            ids = agents[block]
+            out[block] = local_sgd(self.model, thetas[block], self.x[ids], self.y[ids],
+                                   steps, rate, [streams[j] for j in ids],
+                                   batch_size=self.batch_size, momentum=self.momentum,
+                                   grad_bound=self.grad_bound)
+        return out
+
+    def losses(self, agents, candidates):
+        """Loss of candidates[r, c] (a model) on agents[r]'s shard, (b, k)."""
+        k = candidates.shape[1]
+        out = np.empty(candidates.shape[:2])
+        for block in agent_blocks(len(agents), k * self.x.shape[1] * self.model.width):
+            ids = agents[block]
+            out[block] = self.model.loss(candidates[block], self.x[ids, None],
+                                         self.y[ids, None])
+        return out
+
+
+def train_agents(tasks, thetas, agents, steps, rate, streams):
+    """Local training of ``agents``; ``thetas`` holds their starting models
+    row by row.  Returns the trained rows.  ShardTasks train in batched
+    blocks, any other task list one agent at a time."""
+    agents = np.asarray(agents, dtype=int)
+    if isinstance(tasks, ShardTasks):
+        return tasks.train(thetas, agents, steps, rate, streams)
+    out = np.empty_like(thetas, dtype=float)
+    for r, j in enumerate(agents):
+        try:
+            out[r] = tasks[j].train(thetas[r], steps, rate, streams[j])
+        except Exception as exc:
+            raise RuntimeError(f"local update failed for agent {j}") from exc
+    return out
+
+
+def candidate_losses(tasks, agents, candidates):
+    """losses[r, c] = tasks[agents[r]].loss(candidates[r, c]) for candidate
+    models (b, k, n_params); batched for ShardTasks."""
+    agents = np.asarray(agents, dtype=int)
+    if isinstance(tasks, ShardTasks):
+        return tasks.losses(agents, candidates)
+    out = np.empty(candidates.shape[:2])
+    for r, j in enumerate(agents):
+        try:
+            out[r] = [tasks[j].loss(theta) for theta in candidates[r]]
+        except Exception as exc:
+            raise RuntimeError(f"loss evaluation failed for agent {j}") from exc
+    return out
 
 
 @dataclass
 class ClusteredDataset:
     """Shards for every agent plus per-cluster held-out test sets.
 
+    Shards are stacked: agent i holds x[i] (n, d) and y[i] (n,).
     ``agent_cluster`` is the hidden assignment; protocol code never sees it,
     only the harness and diagnostics do.
     """
 
-    shards: list                 # per agent: (x, y)
+    x: np.ndarray                # (n_agents, n, d)
+    y: np.ndarray                # (n_agents, n)
     agent_cluster: np.ndarray    # (n_agents,)
     test_sets: list              # per cluster: (x, y)
     meta: dict = field(default_factory=dict)
 
     @property
+    def shards(self):
+        """Per agent: (x, y), views into the stacked arrays."""
+        return list(zip(self.x, self.y))
+
+    @property
     def n_agents(self):
-        return len(self.shards)
+        return len(self.x)
 
     @property
     def n_clusters(self):
@@ -252,7 +419,7 @@ class ClusteredDataset:
 
     @property
     def input_dim(self):
-        return self.shards[0][0].shape[1]
+        return self.x.shape[2]
 
     def cluster_sizes(self):
         return np.bincount(self.agent_cluster, minlength=self.n_clusters)
@@ -304,13 +471,12 @@ def generate_clustered_data(n_clusters, n_agents, n_per_agent, input_dim,
         raise InvalidParameterError("n_classes must be >= 2")
 
     agent_cluster = np.arange(n_agents) % n_clusters
-    shards = []
+    x = np.empty((n_agents, n_per_agent, input_dim))
+    y = np.empty((n_agents, n_per_agent), dtype=np.int64)
     for i in range(n_agents):
         gen = rng_mod.stream(seed, rng_mod.DATA, i)
-        shards.append(
-            _sample_cluster(gen, n_per_agent, int(agent_cluster[i]), n_classes,
-                            n_clusters, input_dim, radius, blob_std, noise_std)
-        )
+        x[i], y[i] = _sample_cluster(gen, n_per_agent, int(agent_cluster[i]), n_classes,
+                                     n_clusters, input_dim, radius, blob_std, noise_std)
     test_sets = []
     for k in range(n_clusters):
         gen = rng_mod.stream(seed, rng_mod.DATA, n_agents + k)
@@ -331,7 +497,7 @@ def generate_clustered_data(n_clusters, n_agents, n_per_agent, input_dim,
         "n_test": n_test,
         "rotation_angles": [2.0 * np.pi * k / n_clusters for k in range(n_clusters)],
     }
-    return ClusteredDataset(shards=shards, agent_cluster=agent_cluster,
+    return ClusteredDataset(x=x, y=y, agent_cluster=agent_cluster,
                             test_sets=test_sets, meta=meta)
 
 
@@ -373,14 +539,12 @@ def load_dataset(in_dir):
     blob = np.load(in_dir / "data.npz")
     n_agents = int(manifest["n_agents"])
     n_clusters = int(manifest["n_clusters"])
-    shards = []
-    for i in range(n_agents):
-        sel = blob["train_agent"] == i
-        shards.append((blob["train_x"][sel], blob["train_y"][sel]))
+    x = np.stack([blob["train_x"][blob["train_agent"] == i] for i in range(n_agents)])
+    y = np.stack([blob["train_y"][blob["train_agent"] == i] for i in range(n_agents)])
     test_sets = []
     for k in range(n_clusters):
         sel = blob["test_cluster"] == k
         test_sets.append((blob["test_x"][sel], blob["test_y"][sel]))
     meta = {k: v for k, v in manifest.items() if k != "format"}
-    return ClusteredDataset(shards=shards, agent_cluster=blob["agent_cluster"],
+    return ClusteredDataset(x=x, y=y, agent_cluster=blob["agent_cluster"],
                             test_sets=test_sets, meta=meta)

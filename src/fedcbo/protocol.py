@@ -18,6 +18,7 @@ import numpy as np
 
 from .consensus import consensus_point_for_agent
 from .errors import DivergenceError, InvalidParameterError
+from .learners import agent_blocks, candidate_losses, train_agents
 from .sde import epsilon_for_round
 
 log = logging.getLogger(__name__)
@@ -50,48 +51,50 @@ class ObjectiveTask:
 class LikelihoodMatrix:
     """Accumulated evidence that peer i shares agent j's distribution.
 
-    Row j holds one score per peer i != j; the self entry does not exist.
-    Scores start at zero and accumulate (own loss - peer loss) each time a
-    peer's model is evaluated, so peers whose models do well on j's data
-    rise in the ranking.
+    ``values`` is a plain (A, A) array: row j holds one score per peer
+    i != j; the self entry is never read or written.  Scores start at zero
+    and accumulate (own loss - peer loss) each time a peer's model is
+    evaluated, so peers whose models do well on j's data rise in the
+    ranking.
     """
 
     def __init__(self, n_agents):
         if n_agents < 1:
             raise InvalidParameterError("n_agents must be >= 1")
         self.n_agents = n_agents
-        self._scores = np.zeros((n_agents, n_agents))
+        self.values = np.zeros((n_agents, n_agents))
 
     def _check(self, j, i):
-        if not (0 <= j < self.n_agents and 0 <= i < self.n_agents):
+        i = np.asarray(i)
+        if not 0 <= j < self.n_agents or np.any((i < 0) | (i >= self.n_agents)):
             raise InvalidParameterError(f"agent index out of range: ({j}, {i})")
-        if j == i:
+        if np.any(i == j):
             raise InvalidParameterError(f"agent {j} has no likelihood entry for itself")
 
     def score(self, j, i):
         self._check(j, i)
-        return float(self._scores[j, i])
+        return float(self.values[j, i])
 
     def add(self, j, i, delta):
+        """Add ``delta`` to entry (j, i); ``i`` may be an array of distinct
+        ids with one delta each."""
         self._check(j, i)
-        self._scores[j, i] += delta
+        self.values[j, i] += delta
 
     def row(self, j, candidates):
         """Scores of ``candidates`` in j's row, candidate order preserved."""
-        return np.array([self.score(j, i) for i in candidates])
+        candidates = np.asarray(candidates, dtype=int)
+        self._check(j, candidates)
+        return self.values[j, candidates]
 
     def copy(self):
         out = LikelihoodMatrix(self.n_agents)
-        out._scores = self._scores.copy()
+        out.values = self.values.copy()
         return out
 
 
 def _round_half_up(x):
     return int(np.floor(x + 0.5))
-
-
-# Budget-clamp situations already reported, to keep long runs quiet.
-_clamp_warned = set()
 
 
 def greedy_sample(scores, own_id, participants, budget, eps, rng):
@@ -100,35 +103,31 @@ def greedy_sample(scores, own_id, participants, budget, eps, rng):
     An exploration block of round-half-up(eps * budget) peers is drawn
     uniformly without replacement; the rest are the top-scoring remaining
     peers (``scores``: LikelihoodMatrix or row lookup), ties broken toward
-    the lower agent id.  A budget larger than the available peers is clamped
-    with a warning.  Returns a sorted id list.
+    the lower agent id.  A budget larger than the available peers is
+    clamped; ``fedcbo_round`` counts the clamps.  Returns a sorted id list.
     """
     if not 0.0 <= eps <= 1.0:
         raise InvalidParameterError(f"eps must be in [0, 1], got {eps}")
     if budget < 0:
         raise InvalidParameterError(f"budget must be >= 0, got {budget}")
-    peers = sorted(p for p in participants if p != own_id)
-    if budget > len(peers):
-        key = (budget, len(peers))
-        if key not in _clamp_warned:
-            _clamp_warned.add(key)
-            log.warning("download budget %d exceeds %d available peers; clamping",
-                        budget, len(peers))
-        budget = len(peers)
+    participants = np.asarray(participants, dtype=int)
+    peers = np.sort(participants[participants != own_id])
+    budget = min(budget, peers.size)
     if budget == 0:
         return []
     n_explore = min(budget, _round_half_up(eps * budget))
-    explore = list(rng.choice(peers, size=n_explore, replace=False)) if n_explore else []
-    explore = [int(i) for i in explore]
-    remaining = [p for p in peers if p not in set(explore)]
+    picked = np.zeros(peers.size, dtype=bool)
+    if n_explore:
+        # Drawing positions in ``peers`` consumes the stream exactly as
+        # drawing from ``peers`` itself does.
+        picked[rng.choice(peers.size, size=n_explore, replace=False)] = True
     n_exploit = budget - n_explore
     if n_exploit:
-        row = scores.row(own_id, remaining)
-        order = sorted(range(len(remaining)), key=lambda t: (-row[t], remaining[t]))
-        exploit = [remaining[t] for t in order[:n_exploit]]
-    else:
-        exploit = []
-    return sorted(explore + exploit)
+        remaining = np.flatnonzero(~picked)
+        row = scores.row(own_id, peers[remaining])
+        order = np.lexsort((peers[remaining], -row))
+        picked[remaining[order[:n_exploit]]] = True
+    return peers[picked].tolist()
 
 
 @dataclass
@@ -145,7 +144,8 @@ def local_aggregation(own_id, own_model, downloads, loss_fn, hp):
 
     ``downloads`` maps peer id -> post-local-update model.  Peer models with
     non-finite loss are excluded from the consensus and from the score
-    deltas, and reported in ``dropped``.
+    deltas, and reported in ``dropped``.  This is the one-agent reference
+    for the batched aggregation inside ``fedcbo_round``.
     """
     point, losses, dropped = consensus_point_for_agent(
         own_id, own_model, downloads, loss_fn, hp.alpha,
@@ -173,7 +173,13 @@ def local_aggregation(own_id, own_model, downloads, loss_fn, hp):
 
 @dataclass
 class RoundLog:
-    """What happened in one protocol round, for diagnostics."""
+    """What happened in one protocol round, for diagnostics.
+
+    The counters cover the aggregation phase: models downloaded, loss
+    evaluations (downloads plus each agent's own model), peers dropped for
+    a non-finite loss, and agents whose download budget was clamped to the
+    available peers.
+    """
 
     round_index: int
     participants: list
@@ -181,11 +187,81 @@ class RoundLog:
     selections: dict           # agent id -> sorted list of downloaded peer ids
     own_losses: dict           # agent id -> post-update loss on own shard
     dropped: dict = field(default_factory=dict)
+    downloads: int = 0
+    loss_evals: int = 0
+    budget_clamps: int = 0
 
     @property
     def mean_local_loss(self):
         vals = list(self.own_losses.values())
         return float(np.mean(vals)) if vals else float("nan")
+
+    def counters(self):
+        return {"downloads": self.downloads, "loss_evals": self.loss_evals,
+                "dropped": sum(len(ids) for ids in self.dropped.values()),
+                "budget_clamps": self.budget_clamps}
+
+
+def _contract(own, stack, losses, hp):
+    """Each agent r moves own[r] toward the Gibbs consensus of stack[r]
+    (k, dim) under its losses[r] (k,); the arithmetic of
+    ``consensus_point`` and ``local_aggregation``, one block at a time."""
+    shifted = losses - losses.min(axis=1, keepdims=True)
+    weights = np.exp(-hp.alpha * shifted)
+    total = np.add.reduce(weights, axis=1)
+    value = np.add.reduce(stack * weights[:, :, None], axis=1) / total[:, None]
+    value = np.clip(value, stack.min(axis=1), stack.max(axis=1))
+    step = hp.consensus_drift * hp.step_size
+    return own - step * (own - value)
+
+
+def _aggregate_block(agents, candidates, stack, losses, hp, scores, dropped):
+    """New models of a block of agents.  candidates[r] holds agent r's
+    download ids then its own id, stack[r] those models and losses[r]
+    their losses on agent r's data.  Adds the score deltas to ``scores``
+    and records dropped peers.
+
+    Rows with a non-finite loss take a one-row route through the same
+    arithmetic.  Returns (new models, first failing row or len(agents));
+    failures are raised for the lowest failing agent, as a serial sweep
+    over the agents would.
+    """
+    peer_ids, peer_losses, own_loss = candidates[:, :-1], losses[:, :-1], losses[:, -1]
+    own = stack[:, -1]
+    k = stack.shape[1] if hp.include_self else stack.shape[1] - 1
+    fast = np.isfinite(losses).all(axis=1) if hp.include_self \
+        else np.isfinite(peer_losses).all(axis=1)
+    fast &= k > 0
+    new = np.empty_like(own)
+    new[fast] = _contract(own[fast], stack[fast, :k], losses[fast, :k], hp)
+    scores.values[agents[fast, None], peer_ids[fast]] += own_loss[fast, None] - peer_losses[fast]
+
+    diverged = fast & ~np.isfinite(new).all(axis=1)
+    first = int(np.argmax(diverged)) if diverged.any() else len(agents)
+    for r in np.flatnonzero(~fast):
+        if r > first:
+            break
+        j = int(agents[r])
+        keep = np.isfinite(peer_losses[r])
+        if not keep.all():
+            dropped[j] = peer_ids[r, ~keep].tolist()
+            log.warning("agent %d: dropped models with non-finite loss: %s", j, dropped[j])
+        if hp.include_self and not np.isfinite(own_loss[r]):
+            raise RuntimeError(f"aggregation failed for agent {j}: own loss is non-finite")
+        cols = np.append(keep, hp.include_self)
+        if not cols.any():
+            raise RuntimeError(f"aggregation failed for agent {j}: no usable models")
+        new[r] = _contract(own[r:r + 1], stack[r:r + 1, cols], losses[r:r + 1, cols], hp)[0]
+        scores.values[j, peer_ids[r, keep]] += own_loss[r] - peer_losses[r, keep]
+        if not np.isfinite(new[r]).all():
+            first = r
+    return new, first
+
+
+def _divergence(round_index, agent, phase):
+    return DivergenceError(
+        f"round {round_index}, agent {agent}: model became non-finite in {phase}",
+        step=round_index, index=agent)
 
 
 def fedcbo_round(models, tasks, scores, hp, round_index, streams,
@@ -193,12 +269,15 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
     """Advance every participating agent by one full round.
 
     ``models`` is the (n_agents, dim) array of current models; ``tasks``
-    the per-agent ShardTask/ObjectiveTask list; ``scores`` the shared
-    LikelihoodMatrix.  Per-agent randomness (mini-batches, selection) comes
-    from ``streams``; ``round_rng`` only picks the participant set.
+    the per-agent task list (learners.ShardTasks takes the batched path);
+    ``scores`` the shared LikelihoodMatrix.  Per-agent randomness
+    (mini-batches, selection) comes from ``streams``; ``round_rng`` only
+    picks the participant set.
 
     Returns (new_models, new_scores, RoundLog).  The input state is never
-    mutated: any per-agent failure aborts the round atomically.
+    mutated: any per-agent failure aborts the round atomically, and a
+    divergence names the round (``step``) and the lowest failing agent
+    (``index``).
     """
     n_agents = len(tasks)
     if models.shape[0] != n_agents:
@@ -210,51 +289,50 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
         if round_rng is None:
             raise InvalidParameterError("partial participation requires round_rng")
         size = max(1, _round_half_up(participation * n_agents))
-        participants = sorted(int(i) for i in
-                              round_rng.choice(n_agents, size=size, replace=False))
+        participants = np.sort(round_rng.choice(n_agents, size=size, replace=False))
     else:
-        participants = list(range(n_agents))
+        participants = np.arange(n_agents)
 
     eps = epsilon_for_round(hp, round_index)
     rate = hp.grad_drift * hp.step_size
 
-    # Phase 1: local updates, one agent at a time on its own stream.
+    # Phase 1: local updates, each agent on its own stream.
     updated = models.copy()
-    for j in participants:
-        try:
-            updated[j] = tasks[j].train(models[j], hp.local_steps, rate, streams[j])
-        except Exception as exc:
-            raise RuntimeError(f"local update failed for agent {j}") from exc
-        if not np.all(np.isfinite(updated[j])):
-            raise DivergenceError(f"agent {j}: model became non-finite in local update",
-                                  index=j)
+    updated[participants] = train_agents(tasks, models[participants], participants,
+                                         hp.local_steps, rate, streams)
+    bad = ~np.isfinite(updated[participants]).all(axis=1)
+    if bad.any():
+        raise _divergence(round_index, int(participants[np.argmax(bad)]), "local update")
 
-    # Phase 2: aggregation against a frozen snapshot of post-update models.
-    snapshot = updated.copy()
+    # Phase 2: every agent samples its downloads from the round's input scores.
+    budget = min(hp.download_budget, len(participants) - 1)
+    picks = np.array([greedy_sample(scores, int(j), participants, hp.download_budget,
+                                    eps, streams[j]) for j in participants],
+                     dtype=int).reshape(len(participants), budget)
+
+    # Phase 3: aggregation against the post-update models, in agent blocks.
+    candidates = np.concatenate([picks, participants[:, None]], axis=1)
     new_models = updated.copy()
     new_scores = scores.copy()
-    selections, own_losses, dropped = {}, {}, {}
-    for j in participants:
-        selected = greedy_sample(scores, j, participants, hp.download_budget,
-                                 eps, streams[j])
-        downloads = {i: snapshot[i] for i in selected}
-        try:
-            result = local_aggregation(j, snapshot[j], downloads, tasks[j].loss, hp)
-        except DivergenceError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(f"aggregation failed for agent {j}") from exc
-        new_models[j] = result.new_model
-        for i, delta in result.score_deltas.items():
-            new_scores.add(j, i, delta)
-        selections[j] = selected
-        own_losses[j] = result.own_loss
-        if result.dropped:
-            dropped[j] = result.dropped
+    own_losses, dropped = np.empty(len(participants)), {}
+    for block in agent_blocks(len(participants), candidates.shape[1] * models.shape[1]):
+        agents = participants[block]
+        stack = updated[candidates[block]]
+        losses = candidate_losses(tasks, agents, stack)
+        new, first = _aggregate_block(agents, candidates[block], stack, losses, hp,
+                                      new_scores, dropped)
+        if first < len(agents):
+            raise _divergence(round_index, int(agents[first]), "aggregation")
+        new_models[agents] = new
+        own_losses[block] = losses[:, -1]
 
-    log_entry = RoundLog(round_index=round_index, participants=participants,
-                         eps=eps, selections=selections, own_losses=own_losses,
-                         dropped=dropped)
+    participants = participants.tolist()
+    log_entry = RoundLog(round_index=round_index, participants=participants, eps=eps,
+                         selections=dict(zip(participants, picks.tolist())),
+                         own_losses=dict(zip(participants, own_losses.tolist())),
+                         dropped=dropped, downloads=picks.size,
+                         loss_evals=candidates.size,
+                         budget_clamps=len(participants) * (budget < hp.download_budget))
     return new_models, new_scores, log_entry
 
 

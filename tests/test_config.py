@@ -131,3 +131,42 @@ def test_load_config_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(bad)
     assert any("not valid JSON" in p for p in err.value.problems)
+
+
+def test_cli_rejects_eps_out_of_range_and_bad_centers_listing_every_problem(tmp_path,
+                                                                            capsys):
+    from fedcbo.cli import main
+
+    raw = {
+        "problem": {"kind": "benchmark", "dim": 2,
+                    "centers": [[0.0, 0.0, 1.0], [1.0, 1.0], ["a", 1.0]]},
+        "hyperparams": {"eps_start": 1.5, "eps_floor": 1.2, "eps_decay": -0.1},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert all(line.startswith("config error: ") for line in lines)
+    joined = "\n".join(lines)
+    for field in ("hyperparams.eps_start", "hyperparams.eps_floor",
+                  "hyperparams.eps_decay", "problem.centers[0]", "problem.centers[2]"):
+        assert field in joined
+    assert "problem.centers[1]" not in joined
+    assert len(lines) == 5
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("hyperparams,problem,field", [
+    ({"eps_start": 1.5}, {}, "hyperparams.eps_start"),
+    ({"eps_floor": -0.5}, {}, "hyperparams.eps_floor"),
+    ({}, {"kind": "benchmark", "dim": 3, "centers": [[0.0, 0.0]]}, "problem.centers[0]"),
+    ({}, {"kind": "benchmark", "centers": []}, "problem.centers"),
+])
+def test_eps_and_center_problems_exit_2_through_the_cli(tmp_path, capsys, hyperparams,
+                                                        problem, field):
+    from fedcbo.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"problem": problem, "hyperparams": hyperparams}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err

@@ -3,12 +3,16 @@ comparison, and exit codes."""
 
 import hashlib
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedcbo
 from fedcbo.cli import main
 from fedcbo.config import resolve_config
 from fedcbo.errors import ConfigError, DivergenceError
@@ -81,6 +85,13 @@ def test_run_experiment_writes_the_documented_layout(tmp_path):
     assert record["acc_macro"] is None          # no test data on benchmarks
     assert record["assignment_purity"] is None  # not an ifca run
     assert not any("time" in key for key in record)
+
+    # Round counters go to the manifest only: 2 rounds x 6 agents x 2 downloads,
+    # plus each agent's own model among the loss evaluations.
+    on_disk = json.loads((tmp_path / "manifest.json").read_text())
+    assert on_disk["counters"]["0"] == {"downloads": 24, "loss_evals": 36,
+                                        "dropped": 0, "budget_clamps": 0}
+    assert "downloads" not in (tmp_path / "summary.csv").read_text()
 
 
 def test_metric_files_are_byte_identical_across_reruns(tmp_path):
@@ -348,11 +359,20 @@ def test_cli_compare_scan_and_sde_commands(tmp_path, capsys):
 
 
 def test_console_script_runs_end_to_end(tmp_path):
+    # The installed console script if there is one, else the same CLI through
+    # ``python -m fedcbo`` with the package's source directory on the path.
     config_path = write_config(tmp_path, CLI_BENCHMARK)
     out = tmp_path / "out"
+    script = shutil.which("fedcbo")
+    command, env = [script], None
+    if script is None:
+        command = [sys.executable, "-m", "fedcbo"]
+        src = str(Path(fedcbo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run(
-        ["fedcbo", "run", "--config", config_path, "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
+        command + ["run", "--config", config_path, "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert is_complete(out)

@@ -1,0 +1,313 @@
+"""Property tests: the array-native selection, batched model kernels and
+batched round against one-model-at-a-time reference code, bit for bit.
+
+The reference functions below are copies of the per-agent code the batched
+paths replaced; they are kept here, not in the package, as the yardstick.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fedcbo import rng as rng_mod
+from fedcbo.learners import (LogisticModel, MlpModel, ShardTask, ShardTasks,
+                             local_sgd)
+from fedcbo.objectives import clamp_gradient
+from fedcbo.protocol import (LikelihoodMatrix, fedcbo_round, greedy_sample,
+                             local_aggregation)
+from fedcbo.sde import HyperParams, epsilon_for_round
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_position(streams_a, streams_b):
+    """Both stream lists have consumed the same number of draws."""
+    return all(np.array_equal(a.bit_generator.random_raw(3), b.bit_generator.random_raw(3))
+               for a, b in zip(streams_a, streams_b, strict=True))
+
+
+# ---------------------------------------------------------------- references
+
+def reference_greedy_sample(scores, own_id, participants, budget, eps, rng):
+    peers = sorted(p for p in participants if p != own_id)
+    budget = min(budget, len(peers))
+    if budget == 0:
+        return []
+    n_explore = min(budget, int(np.floor(eps * budget + 0.5)))
+    explore = list(rng.choice(peers, size=n_explore, replace=False)) if n_explore else []
+    explore = [int(i) for i in explore]
+    remaining = [p for p in peers if p not in set(explore)]
+    n_exploit = budget - n_explore
+    if n_exploit:
+        row = np.array([scores.values[own_id, i] for i in remaining])
+        order = sorted(range(len(remaining)), key=lambda t: (-row[t], remaining[t]))
+        exploit = [remaining[t] for t in order[:n_exploit]]
+    else:
+        exploit = []
+    return sorted(explore + exploit)
+
+
+def _ref_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_cross_entropy(probs, labels):
+    n = labels.shape[0]
+    p = np.clip(probs[np.arange(n), labels], 1e-300, None)
+    return float(-np.mean(np.log(p)))
+
+
+def reference_loss_grad(model, theta, x, y):
+    n = x.shape[0]
+    if isinstance(model, LogisticModel):
+        d, c = model.input_dim, model.n_classes
+        w, b = theta[: d * c].reshape(d, c), theta[d * c:]
+        probs = _ref_softmax(x @ w + b)
+        loss = _ref_cross_entropy(probs, y)
+        delta = probs
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
+        return loss, np.concatenate([(x.T @ delta).ravel(), delta.sum(axis=0)])
+    d, h, c = model.input_dim, model.hidden, model.n_classes
+    i = 0
+    w1 = theta[i:i + d * h].reshape(d, h); i += d * h
+    b1 = theta[i:i + h]; i += h
+    w2 = theta[i:i + h * c].reshape(h, c); i += h * c
+    b2 = theta[i:]
+    pre = x @ w1 + b1
+    hid = np.tanh(pre) if model.activation == "tanh" else np.maximum(pre, 0.0)
+    probs = _ref_softmax(hid @ w2 + b2)
+    loss = _ref_cross_entropy(probs, y)
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    back = delta @ w2.T
+    back = back * (1.0 - hid * hid) if model.activation == "tanh" else back * (pre > 0.0)
+    return loss, np.concatenate([(x.T @ back).ravel(), back.sum(axis=0),
+                                 (hid.T @ delta).ravel(), delta.sum(axis=0)])
+
+
+def reference_train(model, theta, x, y, steps, rate, rng, batch_size, momentum,
+                    grad_bound):
+    theta = np.asarray(theta, dtype=float).copy()
+    n = x.shape[0]
+    use_batch = batch_size is not None and batch_size < n
+    velocity = np.zeros_like(theta)
+    for _ in range(steps):
+        if use_batch:
+            idx = rng.choice(n, size=batch_size, replace=False)
+            xb, yb = x[idx], y[idx]
+        else:
+            xb, yb = x, y
+        _, g = reference_loss_grad(model, theta, xb, yb)
+        g = clamp_gradient(g, grad_bound)
+        velocity = momentum * velocity + g
+        theta = theta - rate * velocity
+    return theta
+
+
+# ---------------------------------------------------------------- selection
+
+@st.composite
+def selection_case(draw):
+    n_agents = draw(st.integers(2, 25))
+    own = draw(st.integers(0, n_agents - 1))
+    others = draw(st.lists(st.integers(0, n_agents - 1), unique=True, max_size=n_agents))
+    participants = sorted(set(others) | {own})
+    # Few distinct values, both signed zeros: plenty of exact ties.
+    values = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, 3.0]),
+                           min_size=n_agents * n_agents, max_size=n_agents * n_agents))
+    scores = LikelihoodMatrix(n_agents)
+    scores.values[:] = np.reshape(values, (n_agents, n_agents))
+    budget = draw(st.integers(0, n_agents + 3))
+    eps = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return scores, own, participants, budget, eps, seed
+
+
+@SETTINGS
+@given(selection_case())
+def test_selection_invariants(case):
+    scores, own, participants, budget, eps, seed = case
+    picked = greedy_sample(scores, own, participants, budget, eps,
+                           np.random.default_rng(seed))
+    peers = [p for p in participants if p != own]
+    assert len(picked) == min(budget, len(peers))
+    assert picked == sorted(picked)
+    assert own not in picked
+    assert len(set(picked)) == len(picked)
+    assert set(picked) <= set(participants)
+    assert all(type(i) is int for i in picked)
+
+
+@SETTINGS
+@given(selection_case())
+def test_selection_equals_reference_and_consumes_the_stream_alike(case):
+    scores, own, participants, budget, eps, seed = case
+    fast_rng = rng_mod.stream(seed, rng_mod.AGENT, own)
+    ref_rng = rng_mod.stream(seed, rng_mod.AGENT, own)
+    fast = greedy_sample(scores, own, participants, budget, eps, fast_rng)
+    ref = reference_greedy_sample(scores, own, participants, budget, eps, ref_rng)
+    assert fast == ref
+    assert same_position([fast_rng], [ref_rng])
+
+
+# ---------------------------------------------------------------- model kernels
+
+@st.composite
+def model_case(draw):
+    kind = draw(st.sampled_from(["logistic", "mlp-tanh", "mlp-relu"]))
+    d = draw(st.integers(2, 6))
+    c = draw(st.integers(2, 5))
+    if kind == "logistic":
+        model = LogisticModel(d, c)
+    else:
+        model = MlpModel(d, draw(st.integers(1, 8)), c, activation=kind.split("-")[1])
+    b = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    thetas = scale * gen.standard_normal((b, k, model.n_params))
+    x = gen.standard_normal((b, n, d))
+    y = gen.integers(0, c, size=(b, n))
+    return model, thetas, x, y
+
+
+@SETTINGS
+@given(model_case())
+def test_batched_losses_equal_per_model_reference(case):
+    model, thetas, x, y = case
+    b, k = thetas.shape[:2]
+    # Agent r's k candidate models on agent r's own data, in one call.
+    batched = model.loss(thetas, x[:, None], y[:, None])
+    # k models on one shard, data broadcast.
+    shared = model.loss(thetas[0], x[0], y[0])
+    for r in range(b):
+        for m in range(k):
+            ref, _ = reference_loss_grad(model, thetas[r, m], x[r], y[r])
+            assert same_bits(batched[r, m], ref)
+        assert same_bits(model.loss(thetas[r, 0], x[r], y[r]),
+                         reference_loss_grad(model, thetas[r, 0], x[r], y[r])[0])
+    for m in range(k):
+        assert same_bits(shared[m], reference_loss_grad(model, thetas[0, m], x[0], y[0])[0])
+
+
+@SETTINGS
+@given(model_case())
+def test_batched_gradients_equal_per_model_reference(case):
+    model, thetas, x, y = case
+    losses, grads = model.loss_grad(thetas[:, 0], x, y)
+    for r in range(len(x)):
+        ref_loss, ref_grad = reference_loss_grad(model, thetas[r, 0], x[r], y[r])
+        assert same_bits(losses[r], ref_loss)
+        assert same_bits(grads[r], ref_grad)
+
+
+@SETTINGS
+@given(model_case(), st.integers(0, 4), st.sampled_from([0.0, 0.9]),
+       st.sampled_from([1e3, 0.05]), st.integers(1, 45), st.integers(0, 2**32 - 1))
+def test_batched_training_equals_per_agent_reference(case, steps, momentum, grad_bound,
+                                                     batch_size, seed):
+    model, thetas, x, y = case
+    start = thetas[:, 0]
+    agents = np.arange(len(x))
+    ref_streams = rng_mod.agent_streams(seed, len(x))
+    reference = np.stack([
+        reference_train(model, start[r], x[r], y[r], steps, 0.1, ref_streams[r],
+                        batch_size, momentum, grad_bound)
+        for r in agents
+    ])
+    streams = rng_mod.agent_streams(seed, len(x))
+    batched = local_sgd(model, start, x, y, steps, 0.1, streams, batch_size=batch_size,
+                        momentum=momentum, grad_bound=grad_bound)
+    assert same_bits(batched, reference)
+    assert same_position(streams, ref_streams)
+
+    tasks = ShardTasks(model, x, y, batch_size=batch_size, momentum=momentum,
+                       grad_bound=grad_bound)
+    one_rng = rng_mod.agent_streams(seed, 1)[0]
+    assert same_bits(tasks[0].train(start[0], steps, 0.1, one_rng), reference[0])
+
+
+# ---------------------------------------------------------------- whole round
+
+def reference_round(models, tasks, scores, hp, round_index, streams, participants):
+    """The serial round: train, then select and aggregate agent by agent."""
+    eps = epsilon_for_round(hp, round_index)
+    rate = hp.grad_drift * hp.step_size
+    updated = models.copy()
+    for j in participants:
+        t = tasks[j]
+        updated[j] = reference_train(t.model, models[j], t.x, t.y, hp.local_steps, rate,
+                                     streams[j], t.batch_size, t.momentum, t.grad_bound)
+    new_models, new_scores = updated.copy(), scores.copy()
+    selections, own_losses = {}, {}
+
+    def loss_of(t):
+        return lambda theta: reference_loss_grad(t.model, theta, t.x, t.y)[0]
+
+    for j in participants:
+        selected = reference_greedy_sample(scores, j, participants, hp.download_budget,
+                                           eps, streams[j])
+        result = local_aggregation(j, updated[j], {i: updated[i] for i in selected},
+                                   loss_of(tasks[j]), hp)
+        new_models[j] = result.new_model
+        for i, delta in result.score_deltas.items():
+            new_scores.values[j, i] += delta
+        selections[j], own_losses[j] = selected, result.own_loss
+    return new_models, new_scores, selections, own_losses
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 12), st.integers(0, 6), st.booleans(), st.sampled_from([None, 7]),
+       st.sampled_from(["logistic", "tanh", "relu"]), st.sampled_from([1.0, 0.6]),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_batched_round_equals_serial_reference(n_agents, budget, include_self, batch_size,
+                                               kind, participation, round_index, seed):
+    if not include_self:
+        # Without its own model an agent needs at least one peer to aggregate.
+        budget, n_agents = max(budget, 1), max(n_agents, 4)
+    gen = np.random.default_rng(seed)
+    model = LogisticModel(3, 3) if kind == "logistic" else MlpModel(3, 4, 3, kind)
+    x = gen.standard_normal((n_agents, 12, 3))
+    y = gen.integers(0, 3, size=(n_agents, 12))
+    tasks = ShardTasks(model, x, y, batch_size=batch_size, momentum=0.9)
+    models = 0.5 * gen.standard_normal((n_agents, model.n_params))
+    scores = LikelihoodMatrix(n_agents)
+    scores.values[:] = gen.integers(-2, 3, size=(n_agents, n_agents)) * 0.5
+    hp = HyperParams(consensus_drift=5.0, grad_drift=1.0, alpha=10.0, step_size=0.1,
+                     local_steps=2, download_budget=budget, eps_start=0.5,
+                     include_self=include_self, momentum=0.9, batch_size=batch_size)
+
+    streams = rng_mod.agent_streams(seed, n_agents)
+    round_rng = rng_mod.stream(seed, rng_mod.ROUND)
+    new_models, new_scores, entry = fedcbo_round(models, tasks, scores, hp, round_index,
+                                                 streams, participation, round_rng)
+
+    ref_streams = rng_mod.agent_streams(seed, n_agents)
+    ref_models, ref_scores, selections, own_losses = reference_round(
+        models, tasks, scores, hp, round_index, ref_streams, entry.participants)
+    assert entry.selections == selections
+    assert same_bits(list(entry.own_losses.values()), list(own_losses.values()))
+    assert same_bits(new_models, ref_models)
+    assert same_bits(new_scores.values, ref_scores.values)
+    assert entry.downloads == sum(len(s) for s in selections.values())
+    assert entry.loss_evals == entry.downloads + len(entry.participants)
+
+    # The one-agent-at-a-time task list takes the generic path: same bits.
+    plain = [ShardTask(model, x[j], y[j], batch_size=batch_size, momentum=0.9)
+             for j in range(n_agents)]
+    generic = fedcbo_round(models, plain, scores, hp, round_index,
+                           rng_mod.agent_streams(seed, n_agents), participation,
+                           rng_mod.stream(seed, rng_mod.ROUND))
+    assert same_bits(generic[0], new_models)
+    assert same_bits(generic[1].values, new_scores.values)

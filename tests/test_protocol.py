@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from fedcbo import rng as rng_mod
+from fedcbo.config import resolve_config
 from fedcbo.errors import DivergenceError, InvalidParameterError
+from fedcbo.experiment import build_setup, run_protocol
 from fedcbo.objectives import make_quadratic
 from fedcbo.protocol import (LikelihoodMatrix, ObjectiveTask, _round_half_up,
                              fedcbo_round, greedy_sample, local_aggregation,
@@ -106,18 +108,28 @@ def test_selection_distribution_matches_enumeration():
 
 
 def test_budget_clamps_to_available_peers_with_one_warning(caplog):
-    import fedcbo.protocol as protocol_mod
-
-    protocol_mod._clamp_warned.clear()
+    # Selection clamps silently; each run logs the clamp once and counts
+    # every clamped agent-round.  Nothing carries over from one run to the next.
     scores = LikelihoodMatrix(3)
-    with caplog.at_level(logging.WARNING, logger="fedcbo.protocol"):
-        a = greedy_sample(scores, 0, [0, 1, 2], budget=10, eps=0.0,
-                          rng=np.random.default_rng(0))
-        b = greedy_sample(scores, 0, [0, 1, 2], budget=10, eps=0.0,
-                          rng=np.random.default_rng(1))
+    a = greedy_sample(scores, 0, [0, 1, 2], budget=10, eps=0.0,
+                      rng=np.random.default_rng(0))
+    b = greedy_sample(scores, 0, [0, 1, 2], budget=10, eps=0.0,
+                      rng=np.random.default_rng(1))
     assert a == [1, 2] and b == [1, 2]
-    clamp_messages = [r for r in caplog.records if "clamping" in r.message]
-    assert len(clamp_messages) == 1
+
+    config = resolve_config({
+        "problem": {"kind": "benchmark", "dim": 2, "n_per_cluster": 2},
+        "hyperparams": {"download_budget": 10, "local_steps": 1},
+        "schedule": {"rounds": 3},
+    })
+    with caplog.at_level(logging.WARNING):
+        for run in range(2):
+            caplog.clear()
+            _, final = run_protocol(config, seed=run)
+            clamp_messages = [r for r in caplog.records if "clamping" in r.message]
+            assert len(clamp_messages) == 1
+            assert final["counters"]["budget_clamps"] == 3 * 4
+            assert final["counters"]["downloads"] == 3 * 4 * 3
 
 
 def test_zero_budget_and_validation():
@@ -272,6 +284,24 @@ def test_nonfinite_local_update_raises_divergence():
     with pytest.raises(DivergenceError) as err:
         fedcbo_round(models, tasks, scores, hp, 0, streams)
     assert err.value.index == 0
+    assert err.value.step == 0
+
+
+def test_divergence_names_the_round_and_the_lowest_agent():
+    config = resolve_config({
+        "problem": {"n_agents": 8, "n_clusters": 2, "n_per_agent": 10,
+                    "input_dim": 3, "hidden": 4},
+        "hyperparams": {"download_budget": 3},
+    })
+    setup = build_setup(config, 0)
+    models = setup.initial_models.copy()
+    models[[5, 3]] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        fedcbo_round(models, setup.tasks, LikelihoodMatrix(8), config.hp(), 7,
+                     rng_mod.agent_streams(0, 8))
+    assert err.value.step == 7
+    assert err.value.index == 3
+    assert "round 7, agent 3" in str(err.value)
 
 
 def test_objective_task_train_is_plain_descent():
