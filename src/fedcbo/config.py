@@ -10,10 +10,13 @@ every violation instead of stopping at the first.
 import copy
 import hashlib
 import json
+import logging
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .sde import HyperParams, InitSpec
+
+log = logging.getLogger(__name__)
 
 PROTOCOLS = ("fedcbo", "fedavg", "ifca", "local")
 
@@ -206,6 +209,7 @@ def resolve_config(raw):
 
     if problems:
         raise ConfigError(problems)
+    _warn_on_overshoot(hyperparams)
     return ExperimentConfig(problem=problem, hyperparams=hyperparams,
                             schedule=schedule, output=output,
                             protocol=protocol, seeds=[int(s) for s in seeds])
@@ -276,6 +280,16 @@ def _validate_hyperparams(hp, problems):
     if hp["batch_size"] is not None:
         _require_number("hyperparams", "batch_size", hp["batch_size"], problems,
                         minimum=1, integer=True)
+
+
+def _warn_on_overshoot(hp):
+    """Aggregation moves a model by consensus_drift * step_size of the way to
+    its consensus point; above 1 it jumps past that point.  Such configs stay
+    valid, so this only warns."""
+    factor = hp["consensus_drift"] * hp["step_size"]
+    if factor > 1:
+        log.warning("hyperparams: contraction factor consensus_drift * step_size = %g "
+                    "> 1; aggregation overshoots the consensus point", factor)
 
 
 def _validate_schedule(schedule, problems):

@@ -9,7 +9,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 from . import rng as rng_mod
 from .errors import InvalidParameterError, UnsupportedDiagnosticError
@@ -62,9 +61,14 @@ def sliced_w1(cloud_a, cloud_b, n_projections=64, rng=None, projections=None):
     """Sliced 1-Wasserstein distance between two point clouds.
 
     Both clouds are projected onto shared random unit directions; each 1-D
-    distance is exact (sorted-coupling optimal transport) and the mean over
-    directions is returned.  Pass ``projections`` to reuse directions across
-    calls, which keeps per-direction triangle inequalities intact.
+    distance is exact optimal transport and the mean over directions is
+    returned.  Pass ``projections`` to reuse directions across calls, which
+    keeps per-direction triangle inequalities intact.
+
+    The 1-D distance is the integral over t in (0, 1] of |Q_a(t) - Q_b(t)|,
+    Q the empirical quantile functions.  For sizes n and m both are step
+    functions on the grid {i/n} u {j/m}; the grid depends only on (n, m), so
+    every direction shares one gather and one product with the cell widths.
     """
     a = np.atleast_2d(np.asarray(cloud_a, dtype=float))
     b = np.atleast_2d(np.asarray(cloud_b, dtype=float))
@@ -81,16 +85,22 @@ def sliced_w1(cloud_a, cloud_b, n_projections=64, rng=None, projections=None):
         else:
             if rng is None:
                 rng = rng_mod.stream(0, rng_mod.PROJECTION)
-            raw = rng.standard_normal((n_projections, dim))
-            projections = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    dists = [
-        wasserstein_distance(a @ u, b @ u)
-        for u in projections
-    ]
-    return float(np.mean(dists))
+            projections = make_projections(dim, n_projections, rng)
+    qa = np.sort(projections @ a.T, axis=1)
+    qb = np.sort(projections @ b.T, axis=1)
+    # Grid points in integer units of 1/(n*m); the cell (g[k], g[k+1]] reads
+    # sorted value ceil(g[k+1]/m) - 1 of a and ceil(g[k+1]/n) - 1 of b.
+    n, m = a.shape[0], b.shape[0]
+    grid = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
+    upper = grid[1:]
+    ia = (upper + m - 1) // m - 1
+    ib = (upper + n - 1) // n - 1
+    widths = np.diff(grid) / (n * m)
+    return float(np.mean(np.abs(qa[:, ia] - qb[:, ib]) @ widths))
 
 
 def make_projections(dim, n_projections, rng):
+    """``n_projections`` random unit directions in ``dim`` dimensions."""
     raw = rng.standard_normal((n_projections, dim))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 

@@ -9,13 +9,16 @@ File layout of a completed run directory:
                             counters; written last
 
 The manifest is written only after every metric file is complete, so a
-directory without one is detectably incomplete.  Metric files contain no
-timing information and are byte-identical across repeated runs of the same
-config and seed.
+directory without one is detectably incomplete.  A run deletes any earlier
+manifest before its first write and renames its own into place in one
+step, so neither a stopped rerun nor a torn write looks complete.  Metric
+files contain no timing information and are byte-identical across repeated
+runs of the same config and seed.
 """
 
 import json
 import logging
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -317,10 +320,17 @@ def _summary_rows(per_seed_finals):
 
 
 class _OutputTracker:
-    """Removes partial outputs if a run aborts before the manifest."""
+    """Removes partial outputs if a run aborts before the manifest.
+
+    Creating one makes the output directory and deletes any manifest left
+    there by an earlier run, so a rerun that stops part-way never leaves a
+    directory whose old manifest vouches for a mix of old and new files.
+    """
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        (self.out_dir / "manifest.json").unlink(missing_ok=True)
         self.created = []
 
     def path(self, name):
@@ -337,9 +347,17 @@ class _OutputTracker:
 
 
 def _finalize(tracker, manifest):
+    """Write the manifest atomically: a temporary file in the same
+    directory, then one rename, so a reader never sees a partial manifest."""
     manifest_path = tracker.out_dir / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    tmp_path = tracker.out_dir / "manifest.json.tmp"
+    try:
+        with open(tmp_path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+        os.replace(tmp_path, manifest_path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
     return manifest_path
 
 
@@ -350,7 +368,6 @@ def run_experiment(config, out_dir=None, keep_logs=False):
     and the exception propagates.
     """
     out_dir = Path(out_dir or config.output["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tracker = _OutputTracker(out_dir)
     started = time.time()
     wall_times = {}
@@ -427,7 +444,6 @@ def compare_protocols(config, protocols=None, out_dir=None):
         raise ConfigError(["problem.kind: protocol comparison needs a learner problem"])
 
     out_dir = Path(out_dir or config.output["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tracker = _OutputTracker(out_dir)
     started = time.time()
 
@@ -541,7 +557,6 @@ def run_sde_experiment(config, out_dir=None, seeds=None):
         raise ConfigError(["problem.kind: the sde command needs a benchmark problem"])
     seeds = list(seeds or config.seeds)
     out_dir = Path(out_dir or config.output["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tracker = _OutputTracker(out_dir)
     started = time.time()
     bench = build_benchmark(config.problem)
@@ -591,7 +606,6 @@ def scan_meanfield_experiment(config, out_dir=None):
     if config.problem["kind"] != "benchmark":
         raise ConfigError(["problem.kind: scan-meanfield needs a benchmark problem"])
     out_dir = Path(out_dir or config.output["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tracker = _OutputTracker(out_dir)
     started = time.time()
     bench = build_benchmark(config.problem)

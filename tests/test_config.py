@@ -2,6 +2,7 @@
 canonical hashing, and file loading."""
 
 import json
+import logging
 
 import pytest
 
@@ -170,3 +171,20 @@ def test_eps_and_center_problems_exit_2_through_the_cli(tmp_path, capsys, hyperp
     path.write_text(json.dumps({"problem": problem, "hyperparams": hyperparams}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_contraction_factor_above_one_warns_once_naming_the_product(caplog):
+    with caplog.at_level(logging.WARNING, logger="fedcbo.config"):
+        config = resolve_config({"hyperparams": {"consensus_drift": 10.0,
+                                                 "step_size": 0.25}})
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "consensus_drift * step_size = 2.5" in warnings[0].getMessage()
+    assert config.hyperparams["step_size"] == 0.25  # still accepted
+
+
+def test_default_contraction_factor_of_one_does_not_warn(caplog):
+    assert DEFAULT_HYPERPARAMS["consensus_drift"] * DEFAULT_HYPERPARAMS["step_size"] == 1.0
+    with caplog.at_level(logging.WARNING, logger="fedcbo.config"):
+        resolve_config({})
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fedcbo
+from fedcbo import experiment
 from fedcbo.cli import main
 from fedcbo.config import resolve_config
 from fedcbo.errors import ConfigError, DivergenceError
@@ -122,6 +123,62 @@ def tiny_sde_view(config):
     config.schedule["t_steps"] = 5000
     config.schedule["record_every"] = 100
     return config
+
+
+def failing_on_call(target, call):
+    """A wrapper of ``target`` that raises on its ``call``-th call (from 1)."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise RuntimeError("stopped mid-run")
+        return target(*args, **kwargs)
+    return wrapper
+
+
+def tiny_scan():
+    return tiny_benchmark(
+        hyperparams={"consensus_drift": 4.0, "grad_drift": 0.1,
+                     "consensus_noise": 0.2, "grad_noise": 0.1, "alpha": 100.0,
+                     "step_size": 0.005},
+        schedule={"t_steps": 20, "record_every": 5, "n_list": [10, 30],
+                  "n_projections": 8, "n_checkpoints": 4},
+    )
+
+
+RERUNS = {
+    # entry point, config, the inner step that fails, the failing call
+    "run": (run_experiment, tiny_benchmark, "run_protocol", 2),
+    "compare": (compare_protocols, tiny_learner, "run_protocol", 3),
+    "sde": (run_sde_experiment, tiny_scan, "run_sde", 2),
+    "scan-meanfield": (scan_meanfield_experiment, tiny_scan, "meanfield_scan", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_rerun_stopped_midway_is_not_complete(tmp_path, monkeypatch, command):
+    entry, make_config, step, call = RERUNS[command]
+    entry(make_config(), out_dir=tmp_path)
+    assert is_complete(tmp_path)
+    monkeypatch.setattr(experiment, step, failing_on_call(getattr(experiment, step), call))
+    with pytest.raises(RuntimeError, match="stopped mid-run"):
+        entry(make_config(), out_dir=tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+    assert not is_complete(tmp_path)
+
+
+def test_interrupted_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
+    def torn_dump(obj, fh, **kwargs):
+        fh.write('{"kind": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment.json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(tiny_benchmark(), out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "metrics_seed0.jsonl", "metrics_seed1.jsonl", "summary.csv"]
+    assert not is_complete(tmp_path)
 
 
 def test_incomplete_directory_detection(tmp_path):
@@ -358,6 +415,13 @@ def test_cli_compare_scan_and_sde_commands(tmp_path, capsys):
     assert "sde run complete" in capsys.readouterr().out
 
 
+def source_env():
+    """The environment with the package's source directory first on the path."""
+    src = str(Path(fedcbo.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
 def test_console_script_runs_end_to_end(tmp_path):
     # The installed console script if there is one, else the same CLI through
     # ``python -m fedcbo`` with the package's source directory on the path.
@@ -366,13 +430,20 @@ def test_console_script_runs_end_to_end(tmp_path):
     script = shutil.which("fedcbo")
     command, env = [script], None
     if script is None:
-        command = [sys.executable, "-m", "fedcbo"]
-        src = str(Path(fedcbo.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        command, env = [sys.executable, "-m", "fedcbo"], source_env()
     proc = subprocess.run(
         command + ["run", "--config", config_path, "--out", str(out)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert is_complete(out)
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test-only dependency; importing the CLI must not pull it in.
+    code = ("import sys, fedcbo.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

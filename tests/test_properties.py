@@ -1,15 +1,23 @@
 """Property tests: the array-native selection, batched model kernels and
-batched round against one-model-at-a-time reference code, bit for bit.
+batched round against one-model-at-a-time reference code, bit for bit; and
+the shared-grid sliced-W1 against a CDF-integral reference, to 1e-12.
 
 The reference functions below are copies of the per-agent code the batched
 paths replaced; they are kept here, not in the package, as the yardstick.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+try:
+    from scipy.stats import wasserstein_distance
+except ImportError:  # SciPy is a test extra; only the cross-check needs it
+    wasserstein_distance = None
+
 from fedcbo import rng as rng_mod
+from fedcbo.diagnostics import make_projections, sliced_w1
 from fedcbo.learners import (LogisticModel, MlpModel, ShardTask, ShardTasks,
                              local_sgd)
 from fedcbo.objectives import clamp_gradient
@@ -311,3 +319,89 @@ def test_batched_round_equals_serial_reference(n_agents, budget, include_self, b
                            rng_mod.stream(seed, rng_mod.ROUND))
     assert same_bits(generic[0], new_models)
     assert same_bits(generic[1].values, new_scores.values)
+
+
+# ---------------------------------------------------------------- sliced-W1
+
+W1_RTOL = 1e-12
+
+
+def reference_w1(u, v):
+    """Exact 1-D W1 of two empirical measures: the integral of |F_u - F_v|
+    over the sorted union of their points, CDF numerators in integers."""
+    u, v = np.sort(u), np.sort(v)
+    xs = np.sort(np.concatenate([u, v]))
+    n, m = len(u), len(v)
+    cu = np.searchsorted(u, xs[:-1], side="right")
+    cv = np.searchsorted(v, xs[:-1], side="right")
+    return float(np.sum(np.abs(cu * m - cv * n) / (n * m) * np.diff(xs)))
+
+
+def projected(a, b, projections):
+    """Both clouds on every direction (the d = 1 default is the identity)."""
+    projections = np.ones((1, 1)) if projections is None else projections
+    return projections @ a.T, projections @ b.T
+
+
+def close(got, want):
+    return abs(got - want) <= W1_RTOL * abs(want)
+
+
+@st.composite
+def cloud_pair(draw):
+    dim = draw(st.integers(1, 4))
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = gen.standard_normal((n, dim))
+    b = gen.standard_normal((m, dim)) * draw(st.sampled_from([0.5, 1.0, 3.0])) \
+        + draw(st.sampled_from([0.0, 0.1, 2.0]))
+    decimals = draw(st.sampled_from([None, 2, 0]))  # rounding makes ties
+    if decimals is not None:
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    projections = None if dim == 1 else make_projections(
+        dim, draw(st.integers(1, 16)), gen)
+    return a, b, projections
+
+
+@SETTINGS
+@given(cloud_pair())
+def test_sliced_w1_equals_cdf_integral_reference(case):
+    a, b, projections = case
+    pa, pb = projected(a, b, projections)
+    want = float(np.mean([reference_w1(u, v) for u, v in zip(pa, pb)]))
+    got = sliced_w1(a, b, projections=projections)
+    assert close(got, want), (got, want)
+
+
+@SETTINGS
+@given(cloud_pair(), st.integers(0, 2**32 - 1))
+def test_sliced_w1_is_symmetric_and_zero_on_identical_clouds(case, seed):
+    a, b, projections = case
+    assert sliced_w1(a, b, projections=projections) == \
+        sliced_w1(b, a, projections=projections)
+    shuffled = np.random.default_rng(seed).permutation(a)
+    assert sliced_w1(a, shuffled, projections=projections) == 0.0
+    assert sliced_w1(a, a.copy(), projections=projections) == 0.0
+
+
+@pytest.mark.skipif(wasserstein_distance is None, reason="needs SciPy")
+@SETTINGS
+@given(cloud_pair())
+def test_sliced_w1_matches_scipy_per_direction(case):
+    a, b, projections = case
+    pa, pb = projected(a, b, projections)
+    want = float(np.mean([wasserstein_distance(u, v) for u, v in zip(pa, pb)]))
+    assert close(sliced_w1(a, b, projections=projections), want)
+
+
+@pytest.mark.skipif(wasserstein_distance is None, reason="needs SciPy")
+@pytest.mark.parametrize("n,m", [(50, 800), (400, 800), (37, 53), (1, 5), (7, 1)])
+def test_sliced_w1_matches_the_per_direction_scipy_mean(n, m):
+    # The per-direction loop the shared-grid computation replaced.
+    gen = np.random.default_rng(n * 1000 + m)
+    a = gen.standard_normal((n, 2))
+    b = gen.standard_normal((m, 2)) + 0.3
+    projections = make_projections(2, 64, rng_mod.stream(0, rng_mod.PROJECTION))
+    old = float(np.mean([wasserstein_distance(a @ u, b @ u) for u in projections]))
+    assert close(sliced_w1(a, b, projections=projections), old)
+    assert close(sliced_w1(a, b), old)  # default directions are the same draw
