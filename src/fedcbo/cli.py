@@ -93,8 +93,7 @@ def main(argv=None):
             print(f"scan complete: reference size {manifest['reference_size']}, "
                   f"{manifest['monotone_violations']} monotonicity violation(s)")
         elif args.command == "sde":
-            manifest = run_sde_experiment(config, out_dir=args.out,
-                                          seeds=config.seeds)
+            manifest = run_sde_experiment(config, out_dir=args.out)
             print(f"sde run complete: {len(manifest['metrics_files'])} trajectory file(s)")
         return 0
     except ConfigError as exc:

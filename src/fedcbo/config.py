@@ -11,6 +11,7 @@ import copy
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -200,6 +201,12 @@ def resolve_config(raw):
         for s in seeds:
             if isinstance(s, bool) or not isinstance(s, int):
                 problems.append(f"seeds: expected integers, got {s!r}")
+        # A repeated seed would run twice, list its metric file twice and
+        # give the summary a spread of zero.
+        counts = Counter(s for s in seeds if isinstance(s, int) and not isinstance(s, bool))
+        repeated = sorted(s for s, c in counts.items() if c > 1)
+        if repeated:
+            problems.append(f"seeds: each seed may appear once, repeated: {repeated}")
 
     _validate_problem(problem, problems)
     _validate_hyperparams(hyperparams, problems)

@@ -101,16 +101,3 @@ def consensus_point_for_agent(own_id, own_model, downloads, evaluate, alpha,
         )
     point = consensus_point(np.stack(stack), np.array(stack_losses), alpha)
     return point, losses, dropped
-
-
-def stability_gap(positions_a, positions_b, objective, alpha):
-    """Distance between the consensus points of two clouds under one loss."""
-    positions_a = np.atleast_2d(np.asarray(positions_a, dtype=float))
-    positions_b = np.atleast_2d(np.asarray(positions_b, dtype=float))
-    if positions_a.shape[1] != positions_b.shape[1]:
-        raise InvalidParameterError(
-            f"dimension mismatch: {positions_a.shape[1]} vs {positions_b.shape[1]}"
-        )
-    point_a = consensus_point(positions_a, objective.losses(positions_a), alpha)
-    point_b = consensus_point(positions_b, objective.losses(positions_b), alpha)
-    return float(np.linalg.norm(point_a.value - point_b.value))

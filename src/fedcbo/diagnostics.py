@@ -1,5 +1,5 @@
-"""Measurement tools: variance decay, theoretical rates, cloud distances,
-finite-size scans, and selection-quality curves.
+"""Measurement tools: theoretical rates, cloud distances and finite-size
+scans.
 
 These read simulation output; they never influence the dynamics.
 """
@@ -11,34 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import InvalidParameterError, UnsupportedDiagnosticError
-from .protocol import oracle_sr, selection_ratio
-from .sde import InitSpec, cluster_variances, run_sde
+from .errors import InvalidParameterError
+from .sde import InitSpec, run_sde
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    per_cluster: np.ndarray
-    total: float
-
-
-def variance_report(positions, labels, minimizers):
-    """Per-cluster V_k = 0.5 * mean |theta - theta_k*|^2 and their sum."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    labels = np.asarray(labels)
-    minimizers = np.atleast_2d(np.asarray(minimizers, dtype=float))
-    if minimizers.shape[1] != positions.shape[1]:
-        raise UnsupportedDiagnosticError(
-            "minimizer dimension does not match particle dimension"
-        )
-    if labels.max(initial=-1) >= minimizers.shape[0]:
-        raise UnsupportedDiagnosticError(
-            "a cluster label has no matching minimizer"
-        )
-    per = cluster_variances(positions, labels, minimizers)
-    return VarianceReport(per_cluster=per, total=float(np.nansum(per)))
 
 
 def theoretical_rate(hp, grad_lipschitz, dim, tau_slack=0.5):
@@ -177,31 +153,6 @@ def meanfield_scan(problem, hp, n_list, seeds, t_steps, init=None,
         mean_discrepancy=per_seed.mean(axis=0),
         per_seed=per_seed,
     )
-
-
-@dataclass
-class SrCurve:
-    rounds: np.ndarray
-    sr: np.ndarray
-    oracle: np.ndarray
-
-
-def sr_curve(round_logs, agent_cluster, hp):
-    """Selection ratio per round paired with the oracle value.
-
-    The oracle assumes equal cluster sizes; with unequal clusters the mean
-    cluster size is used.
-    """
-    agent_cluster = np.asarray(agent_cluster)
-    n_agents = len(agent_cluster)
-    cluster_size = n_agents / len(np.unique(agent_cluster))
-    rounds, srs, oracles = [], [], []
-    for entry in round_logs:
-        rounds.append(entry.round_index)
-        srs.append(selection_ratio(entry.selections, agent_cluster))
-        oracles.append(oracle_sr(hp, entry.round_index, cluster_size, n_agents))
-    return SrCurve(rounds=np.array(rounds), sr=np.array(srs),
-                   oracle=np.array(oracles))
 
 
 def write_csv(path, header, rows):

@@ -24,7 +24,3 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("invalid config: " + "; ".join(self.problems))
-
-
-class UnsupportedDiagnosticError(RuntimeError):
-    """A diagnostic was requested on a run that cannot support it."""

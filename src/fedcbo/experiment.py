@@ -8,14 +8,16 @@ File layout of a completed run directory:
     manifest.json           resolved config, hashes, timing, per-seed round
                             counters; written last
 
-The manifest is written only after every metric file is complete, so a
-directory without one is detectably incomplete.  A run deletes any earlier
-manifest before its first write and renames its own into place in one
-step, so neither a stopped rerun nor a torn write looks complete.  Metric
-files contain no timing information and are byte-identical across repeated
-runs of the same config and seed.
+Every command writes through one ``_RunDir``.  It deletes any earlier
+manifest before the first write, removes the files it wrote if the command
+fails, and writes the manifest only after every listed file is complete,
+renaming it into place in one step.  So a directory without a manifest is
+detectably incomplete, and neither a stopped rerun nor a torn write looks
+complete.  Metric files contain no timing information and are
+byte-identical across repeated runs of the same config and seed.
 """
 
+import dataclasses
 import json
 import logging
 import os
@@ -78,49 +80,39 @@ def build_setup(config, seed):
         labels = np.arange(n_agents) % bench.n_clusters
         tasks = [ObjectiveTask(bench.objectives[int(k)], momentum=hp.momentum)
                  for k in labels]
-        models = np.empty((n_agents, bench.dim))
-        for j in range(n_agents):
-            gen = rng_mod.stream(seed, rng_mod.INIT, j)
-            models[j] = problem["init_mean"] + problem["init_std"] * gen.standard_normal(bench.dim)
-        return ProblemSetup(tasks=tasks, initial_models=models, agent_cluster=labels,
-                            n_clusters=bench.n_clusters, benchmark=bench)
-
-    data_seed = problem["data_seed"] if problem["data_seed"] is not None else seed
-    dataset = generate_clustered_data(
-        problem["n_clusters"], problem["n_agents"], problem["n_per_agent"],
-        problem["input_dim"], problem["n_classes"], data_seed,
-        radius=problem["radius"], blob_std=problem["blob_std"],
-        noise_std=problem["noise_std"], n_test=problem["n_test"],
-    )
-    arch = make_model(problem["model"], problem["input_dim"], problem["n_classes"],
-                      hidden=problem["hidden"], activation=problem["activation"])
-    tasks = ShardTasks(arch, dataset.x, dataset.y, batch_size=hp.batch_size,
-                       momentum=hp.momentum)
-    models = np.stack([
-        arch.init_params(rng_mod.stream(seed, rng_mod.INIT, j),
-                         scale=problem["init_scale"])
-        for j in range(problem["n_agents"])
-    ])
-    return ProblemSetup(tasks=tasks, initial_models=models,
-                        agent_cluster=dataset.agent_cluster,
-                        n_clusters=dataset.n_clusters,
-                        model_arch=arch, dataset=dataset)
+        setup = ProblemSetup(tasks=tasks, initial_models=None, agent_cluster=labels,
+                             n_clusters=bench.n_clusters, benchmark=bench)
+    else:
+        data_seed = problem["data_seed"] if problem["data_seed"] is not None else seed
+        dataset = generate_clustered_data(
+            problem["n_clusters"], problem["n_agents"], problem["n_per_agent"],
+            problem["input_dim"], problem["n_classes"], data_seed,
+            radius=problem["radius"], blob_std=problem["blob_std"],
+            noise_std=problem["noise_std"], n_test=problem["n_test"],
+        )
+        arch = make_model(problem["model"], problem["input_dim"], problem["n_classes"],
+                          hidden=problem["hidden"], activation=problem["activation"])
+        tasks = ShardTasks(arch, dataset.x, dataset.y, batch_size=hp.batch_size,
+                           momentum=hp.momentum)
+        setup = ProblemSetup(tasks=tasks, initial_models=None,
+                             agent_cluster=dataset.agent_cluster,
+                             n_clusters=dataset.n_clusters,
+                             model_arch=arch, dataset=dataset)
+    setup.initial_models = _initial_models(config, setup, seed, rng_mod.INIT,
+                                           setup.n_agents)
+    return setup
 
 
-def _init_server_models(config, setup, seed, n_models):
+def _initial_models(config, setup, seed, domain, n):
+    """``n`` initial models (rows), model m drawn from stream (seed, domain, m):
+    the agents' models under INIT, the baselines' server models under SERVER."""
     problem = config.problem
+    gens = [rng_mod.stream(seed, domain, m) for m in range(n)]
     if setup.benchmark is not None:
-        models = np.empty((n_models, setup.benchmark.dim))
-        for m in range(n_models):
-            gen = rng_mod.stream(seed, rng_mod.SERVER, m)
-            models[m] = problem["init_mean"] + problem["init_std"] * gen.standard_normal(
-                setup.benchmark.dim)
-        return models
-    return np.stack([
-        setup.model_arch.init_params(rng_mod.stream(seed, rng_mod.SERVER, m),
-                                     scale=problem["init_scale"])
-        for m in range(n_models)
-    ])
+        return np.stack([problem["init_mean"] + problem["init_std"]
+                         * gen.standard_normal(setup.benchmark.dim) for gen in gens])
+    return np.stack([setup.model_arch.init_params(gen, scale=problem["init_scale"])
+                     for gen in gens])
 
 
 def _per_agent_accuracy(setup, models):
@@ -165,117 +157,102 @@ def _base_record(round_index, n_participants):
     }
 
 
-def _attach_accuracy(record, per_cluster):
-    record["acc_per_cluster"] = [float(a) for a in per_cluster]
-    record["acc_macro"] = float(np.mean(per_cluster))
-
-
-def _attach_variance(record, setup, models):
-    v = cluster_variances(models, setup.agent_cluster, setup.benchmark.minimizers)
-    record["v_per_cluster"] = [float(x) for x in v]
-    record["v_sum"] = float(np.nansum(v))
-
-
 def _mean_own_loss(setup, models):
     """Mean over agents of the loss of models[j] (a row) on agent j's data."""
     losses = candidate_losses(setup.tasks, np.arange(setup.n_agents), models[:, None])
     return float(np.mean(losses[:, 0]))
 
 
+# Per-protocol round generators.  Each runs the configured number of rounds
+# and yields, per round, (record, per-agent models, candidates); candidates
+# is None when every agent is scored on its own model, else the list of
+# global models the best-loss rule picks from.  Only fedcbo adds counters.
 
-def run_protocol(config, seed, keep_logs=False):
-    """Run one protocol for one seed; returns (records, final_state).
-
-    ``final_state["counters"]`` totals the fedcbo round counters (see
-    protocol.RoundLog; empty for the baselines).  They belong in the
-    manifest, never in the metric files.  A clamped download budget is
-    logged once per run.
-    """
-    setup = build_setup(config, seed)
-    hp = config.hp()
-    rounds = config.schedule["rounds"]
-    participation = config.schedule["participation"]
-    streams = rng_mod.agent_streams(seed, setup.n_agents)
+def _fedcbo_rounds(config, setup, seed, hp, streams, counters):
+    models = setup.initial_models.copy()
+    scores = LikelihoodMatrix(setup.n_agents)
     round_rng = rng_mod.stream(seed, rng_mod.ROUND)
-    protocol = config.protocol
-    records, logs = [], []
+    cluster_size = setup.n_agents / setup.n_clusters
+    for n in range(config.schedule["rounds"]):
+        models, scores, entry = fedcbo_round(
+            models, setup.tasks, scores, hp, n, streams,
+            participation=config.schedule["participation"], round_rng=round_rng,
+        )
+        if entry.budget_clamps and not counters["budget_clamps"]:
+            log.warning("download budget %d exceeds %d available peers; clamping "
+                        "(reported once per run)", hp.download_budget,
+                        len(entry.participants) - 1)
+        counters.update(entry.counters())
+        record = _base_record(n, len(entry.participants))
+        record["eps"] = float(entry.eps)
+        record["sr"] = selection_ratio(entry.selections, setup.agent_cluster)
+        record["oracle_sr"] = oracle_sr(hp, n, cluster_size, setup.n_agents)
+        record["mean_local_loss"] = entry.mean_local_loss
+        yield record, models, None
 
-    def finish_record(record, models_per_agent, candidates=None):
-        if setup.dataset is not None:
-            if candidates is None:
-                _attach_accuracy(record, _per_agent_accuracy(setup, models_per_agent))
-            else:
-                _attach_accuracy(record, _best_loss_accuracy(setup, candidates))
-        if setup.benchmark is not None:
-            _attach_variance(record, setup, models_per_agent)
 
+def _local_rounds(config, setup, seed, hp, streams, counters):
+    models = setup.initial_models.copy()
+    for n in range(config.schedule["rounds"]):
+        models = local_only_round(models, setup.tasks, hp, streams)
+        record = _base_record(n, setup.n_agents)
+        record["mean_local_loss"] = _mean_own_loss(setup, models)
+        yield record, models, None
+
+
+def _fedavg_rounds(config, setup, seed, hp, streams, counters):
+    global_model = _initial_models(config, setup, seed, rng_mod.SERVER, 1)[0]
+    for n in range(config.schedule["rounds"]):
+        global_model = fedavg_round(global_model, setup.tasks, hp, streams)
+        record = _base_record(n, setup.n_agents)
+        tiled = np.tile(global_model, (setup.n_agents, 1))
+        record["mean_local_loss"] = _mean_own_loss(setup, tiled)
+        yield record, tiled, [global_model]
+
+
+def _ifca_rounds(config, setup, seed, hp, streams, counters):
+    server = _initial_models(config, setup, seed, rng_mod.SERVER, setup.n_clusters)
+    for n in range(config.schedule["rounds"]):
+        result = ifca_round(server, setup.tasks, hp, streams)
+        server = result.models
+        record = _base_record(n, setup.n_agents)
+        record["mean_local_loss"] = result.mean_loss
+        record["assignment_purity"] = _assignment_purity(result.assignments,
+                                                        setup.agent_cluster)
+        assigned = np.stack([server[m] for m in result.assignments])
+        yield record, assigned, list(server)
+
+
+_ROUNDS = {"fedcbo": _fedcbo_rounds, "local": _local_rounds,
+           "fedavg": _fedavg_rounds, "ifca": _ifca_rounds}
+
+
+def run_protocol(config, seed):
+    """Run one protocol for one seed; returns (records, counters).
+
+    ``counters`` totals the fedcbo round counters (see protocol.RoundLog;
+    empty for the baselines).  They belong in the manifest, never in the
+    metric files.  A clamped download budget is logged once per run.
+    """
+    if config.protocol not in _ROUNDS:
+        raise ConfigError([f"protocol: unknown protocol {config.protocol!r}"])
+    setup = build_setup(config, seed)
+    streams = rng_mod.agent_streams(seed, setup.n_agents)
     counters = Counter()
-    if protocol == "fedcbo":
-        models = setup.initial_models.copy()
-        scores = LikelihoodMatrix(setup.n_agents)
-        cluster_size = setup.n_agents / setup.n_clusters
-        for n in range(rounds):
-            models, scores, entry = fedcbo_round(
-                models, setup.tasks, scores, hp, n, streams,
-                participation=participation, round_rng=round_rng,
-            )
-            if entry.budget_clamps and not counters["budget_clamps"]:
-                log.warning("download budget %d exceeds %d available peers; clamping "
-                            "(reported once per run)", hp.download_budget,
-                            len(entry.participants) - 1)
-            counters.update(entry.counters())
-            record = _base_record(n, len(entry.participants))
-            record["eps"] = float(entry.eps)
-            record["sr"] = selection_ratio(entry.selections, setup.agent_cluster)
-            record["oracle_sr"] = oracle_sr(hp, n, cluster_size, setup.n_agents)
-            record["mean_local_loss"] = entry.mean_local_loss
-            finish_record(record, models)
-            records.append(record)
-            if keep_logs:
-                logs.append(entry)
-        final = {"models": models, "scores": scores, "logs": logs, "setup": setup}
-
-    elif protocol == "local":
-        models = setup.initial_models.copy()
-        for n in range(rounds):
-            models = local_only_round(models, setup.tasks, hp, streams)
-            record = _base_record(n, setup.n_agents)
-            record["mean_local_loss"] = _mean_own_loss(setup, models)
-            finish_record(record, models)
-            records.append(record)
-        final = {"models": models, "setup": setup}
-
-    elif protocol == "fedavg":
-        global_model = _init_server_models(config, setup, seed, 1)[0]
-        for n in range(rounds):
-            global_model = fedavg_round(global_model, setup.tasks, hp, streams)
-            record = _base_record(n, setup.n_agents)
-            tiled = np.tile(global_model, (setup.n_agents, 1))
-            record["mean_local_loss"] = _mean_own_loss(setup, tiled)
-            finish_record(record, tiled, candidates=[global_model])
-            records.append(record)
-        final = {"models": global_model, "setup": setup}
-
-    elif protocol == "ifca":
-        server = _init_server_models(config, setup, seed, setup.n_clusters)
-        assignments = None
-        for n in range(rounds):
-            result = ifca_round(server, setup.tasks, hp, streams)
-            server, assignments = result.models, result.assignments
-            record = _base_record(n, setup.n_agents)
-            record["mean_local_loss"] = result.mean_loss
-            record["assignment_purity"] = _assignment_purity(assignments,
-                                                            setup.agent_cluster)
-            assigned = np.stack([server[m] for m in assignments])
-            finish_record(record, assigned, candidates=list(server))
-            records.append(record)
-        final = {"models": server, "assignments": assignments, "setup": setup}
-
-    else:
-        raise ConfigError([f"protocol: unknown protocol {protocol!r}"])
-
-    final["counters"] = dict(counters)
-    return records, final
+    records = []
+    rounds = _ROUNDS[config.protocol](config, setup, seed, config.hp(), streams, counters)
+    for record, models, candidates in rounds:
+        if setup.dataset is not None:
+            per_cluster = (_per_agent_accuracy(setup, models) if candidates is None
+                           else _best_loss_accuracy(setup, candidates))
+            record["acc_per_cluster"] = [float(a) for a in per_cluster]
+            record["acc_macro"] = float(np.mean(per_cluster))
+        if setup.benchmark is not None:
+            v = cluster_variances(models, setup.agent_cluster, setup.benchmark.minimizers)
+            record["v_per_cluster"] = [float(x) for x in v]
+            record["v_sum"] = float(np.nansum(v))
+        records.append(record)
+    return records, dict(counters)
 
 
 def _assignment_purity(assignments, agent_cluster):
@@ -319,38 +296,66 @@ def _summary_rows(per_seed_finals):
     return out
 
 
-class _OutputTracker:
-    """Removes partial outputs if a run aborts before the manifest.
+class _RunDir:
+    """The lifecycle of one command's output directory.
 
-    Creating one makes the output directory and deletes any manifest left
-    there by an earlier run, so a rerun that stops part-way never leaves a
-    directory whose old manifest vouches for a mix of old and new files.
+    Entering makes the directory and deletes any manifest an earlier run
+    left there, so a rerun that stops part-way never leaves a directory
+    whose old manifest vouches for a mix of old and new files.  ``path``
+    registers every file the command writes.  Leaving normally writes the
+    manifest; leaving on an exception removes every registered file and
+    writes none.  ``manifest`` holds the keys every command shares; a
+    command adds its own before it leaves.
     """
 
-    def __init__(self, out_dir):
-        self.out_dir = Path(out_dir)
+    def __init__(self, config, kind, out_dir=None):
+        self.out_dir = Path(out_dir or config.output["dir"])
+        self.created = []
+        self.manifest = {
+            "kind": kind,
+            "config": config.resolved(),
+            "config_hash": config.hash(),
+            "code_version": __version__,
+            "seeds": config.seeds,
+            "metrics_files": [],
+            "summary_file": None,
+        }
+
+    def __enter__(self):
         self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / "manifest.json").unlink(missing_ok=True)
-        self.created = []
+        self.manifest["started_at"] = time.time()
+        return self
 
-    def path(self, name):
+    def path(self, name, role=None):
+        """Register ``name`` and return its path.  ``role`` "metrics" lists it
+        in ``metrics_files``, "summary" makes it the ``summary_file``."""
+        if role == "metrics":
+            self.manifest["metrics_files"].append(name)
+        elif role == "summary":
+            self.manifest["summary_file"] = name
         p = self.out_dir / name
         self.created.append(p)
         return p
 
-    def cleanup(self):
-        for p in self.created:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for p in self.created:
+                try:
+                    p.unlink(missing_ok=True)
+                except OSError:
+                    pass
+            return False
+        self.manifest["finished_at"] = time.time()
+        _finalize(self.out_dir, self.manifest)
+        return False
 
 
-def _finalize(tracker, manifest):
+def _finalize(out_dir, manifest):
     """Write the manifest atomically: a temporary file in the same
     directory, then one rename, so a reader never sees a partial manifest."""
-    manifest_path = tracker.out_dir / "manifest.json"
-    tmp_path = tracker.out_dir / "manifest.json.tmp"
+    manifest_path = out_dir / "manifest.json"
+    tmp_path = out_dir / "manifest.json.tmp"
     try:
         with open(tmp_path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -361,53 +366,25 @@ def _finalize(tracker, manifest):
     return manifest_path
 
 
-def run_experiment(config, out_dir=None, keep_logs=False):
+def run_experiment(config, out_dir=None):
     """Execute the configured protocol for every seed and persist results.
 
     Returns the manifest dict.  On failure all partial outputs are removed
     and the exception propagates.
     """
-    out_dir = Path(out_dir or config.output["dir"])
-    tracker = _OutputTracker(out_dir)
-    started = time.time()
-    wall_times = {}
-    counters = {}
-    finals = []
-    all_logs = {}
-    try:
+    with _RunDir(config, "run", out_dir) as run_dir:
+        wall_times, counters, finals = {}, {}, []
         for seed in config.seeds:
             t0 = time.time()
-            records, final = run_protocol(config, seed, keep_logs=keep_logs)
+            records, counters[str(seed)] = run_protocol(config, seed)
             wall_times[str(seed)] = round(time.time() - t0, 3)
-            counters[str(seed)] = final["counters"]
-            _write_jsonl(tracker.path(f"metrics_seed{seed}.jsonl"), records)
+            _write_jsonl(run_dir.path(f"metrics_seed{seed}.jsonl", "metrics"), records)
             finals.append(records[-1] if records else None)
-            if keep_logs:
-                all_logs[seed] = final
-        write_csv(tracker.path("summary.csv"), ["metric", "mean", "std"],
+        write_csv(run_dir.path("summary.csv", "summary"), ["metric", "mean", "std"],
                   _summary_rows(finals))
-    except Exception:
-        tracker.cleanup()
-        raise
-
-    manifest = {
-        "kind": "run",
-        "config": config.resolved(),
-        "config_hash": config.hash(),
-        "code_version": __version__,
-        "protocol": config.protocol,
-        "seeds": config.seeds,
-        "metrics_files": [f"metrics_seed{s}.jsonl" for s in config.seeds],
-        "summary_file": "summary.csv",
-        "started_at": started,
-        "finished_at": time.time(),
-        "wall_time_s": wall_times,
-        "counters": counters,
-    }
-    _finalize(tracker, manifest)
-    if keep_logs:
-        manifest["_logs"] = all_logs
-    return manifest
+        run_dir.manifest.update(protocol=config.protocol, wall_time_s=wall_times,
+                                counters=counters)
+    return run_dir.manifest
 
 
 def is_complete(run_dir):
@@ -437,20 +414,16 @@ def compare_protocols(config, protocols=None, out_dir=None):
     with the accuracy table and ordering flags.
     """
     protocols = list(protocols or ("fedcbo", "ifca", "fedavg", "local"))
-    unknown = [p for p in protocols if p not in ("fedcbo", "ifca", "fedavg", "local")]
+    unknown = [p for p in protocols if p not in _ROUNDS]
     if unknown:
         raise ConfigError([f"protocol: unknown protocol {p!r}" for p in unknown])
     if config.problem["kind"] != "learner":
         raise ConfigError(["problem.kind: protocol comparison needs a learner problem"])
 
-    out_dir = Path(out_dir or config.output["dir"])
-    tracker = _OutputTracker(out_dir)
-    started = time.time()
-
-    table = {}
-    try:
+    with _RunDir(config, "compare", out_dir) as run_dir:
+        table = {}
         for protocol in protocols:
-            cfg = ExperimentConfigView(config, protocol)
+            cfg = dataclasses.replace(config, protocol=protocol)
             macro, per_cluster = [], []
             for seed in config.seeds:
                 records, _ = run_protocol(cfg, seed)
@@ -492,61 +465,12 @@ def compare_protocols(config, protocols=None, out_dir=None):
             rows.append([protocol, f"{entry['acc_macro_mean']:.10g}",
                          f"{entry['acc_macro_std']:.10g}"] +
                         [f"{x:.10g}" for x in entry["acc_per_cluster_mean"]])
-        write_csv(tracker.path("comparison.csv"), header, rows)
-    except Exception:
-        tracker.cleanup()
-        raise
-
-    manifest = {
-        "kind": "compare",
-        "config": config.resolved(),
-        "config_hash": config.hash(),
-        "code_version": __version__,
-        "protocols": protocols,
-        "seeds": config.seeds,
-        "table": table,
-        "flags": flags,
-        "metrics_files": [],
-        "summary_file": "comparison.csv",
-        "started_at": started,
-        "finished_at": time.time(),
-    }
-    _finalize(tracker, manifest)
-    return {"table": table, "flags": flags, "out_dir": str(out_dir)}
+        write_csv(run_dir.path("comparison.csv", "summary"), header, rows)
+        run_dir.manifest.update(protocols=protocols, table=table, flags=flags)
+    return {"table": table, "flags": flags, "out_dir": str(run_dir.out_dir)}
 
 
-class ExperimentConfigView:
-    """A config with the protocol swapped out; everything else shared."""
-
-    def __init__(self, base, protocol):
-        self.problem = base.problem
-        self.hyperparams = base.hyperparams
-        self.schedule = base.schedule
-        self.output = base.output
-        self.seeds = base.seeds
-        self.protocol = protocol
-
-    def resolved(self):
-        out = {
-            "problem": self.problem,
-            "hyperparams": self.hyperparams,
-            "schedule": self.schedule,
-            "output": self.output,
-            "protocol": self.protocol,
-            "seeds": self.seeds,
-        }
-        return out
-
-    def hp(self):
-        from .sde import HyperParams
-        return HyperParams(**self.hyperparams)
-
-    def init_spec(self):
-        from .sde import InitSpec
-        return InitSpec(std=self.problem["init_std"], mean=self.problem["init_mean"])
-
-
-def run_sde_experiment(config, out_dir=None, seeds=None):
+def run_sde_experiment(config, out_dir=None):
     """Integrate the benchmark particle system for each seed.
 
     Writes a trajectory JSONL per seed plus sde_summary.csv with the fitted
@@ -555,22 +479,18 @@ def run_sde_experiment(config, out_dir=None, seeds=None):
     """
     if config.problem["kind"] != "benchmark":
         raise ConfigError(["problem.kind: the sde command needs a benchmark problem"])
-    seeds = list(seeds or config.seeds)
-    out_dir = Path(out_dir or config.output["dir"])
-    tracker = _OutputTracker(out_dir)
-    started = time.time()
-    bench = build_benchmark(config.problem)
-    hp = config.hp()
-    t_steps = config.schedule["t_steps"]
-    rate_bound = theoretical_rate(hp, bench.max_grad_lipschitz, bench.dim)
-
-    rows = []
-    try:
-        for seed in seeds:
+    with _RunDir(config, "sde", out_dir) as run_dir:
+        bench = build_benchmark(config.problem)
+        hp = config.hp()
+        t_steps = config.schedule["t_steps"]
+        rate_bound = theoretical_rate(hp, bench.max_grad_lipschitz, bench.dim)
+        rows = []
+        for seed in config.seeds:
             result = run_sde(bench, config.problem["n_per_cluster"], hp, t_steps,
                              init=config.init_spec(), seed=seed,
                              record_every=config.schedule["record_every"],
-                             jsonl_path=tracker.path(f"trajectory_seed{seed}.jsonl"))
+                             jsonl_path=run_dir.path(f"trajectory_seed{seed}.jsonl",
+                                                     "metrics"))
             vsum = result.variance_sums
             below = np.flatnonzero(vsum <= 1e-3 * vsum[0])
             stop = int(below[0]) + 1 if below.size else len(vsum)
@@ -579,82 +499,50 @@ def run_sde_experiment(config, out_dir=None, seeds=None):
             rows.append([seed, f"{vsum[0]:.10g}", f"{vsum[-1]:.10g}",
                          f"{fitted:.10g}", f"{rate_bound:.10g}",
                          str(bool(result.theory_regime)).lower()])
-        write_csv(tracker.path("sde_summary.csv"),
+        write_csv(run_dir.path("sde_summary.csv", "summary"),
                   ["seed", "v_start", "v_end", "fitted_rate", "rate_bound",
                    "theory_regime"], rows)
-    except Exception:
-        tracker.cleanup()
-        raise
-
-    manifest = {
-        "kind": "sde",
-        "config": config.resolved(),
-        "config_hash": config.hash(),
-        "code_version": __version__,
-        "seeds": seeds,
-        "metrics_files": [f"trajectory_seed{s}.jsonl" for s in seeds],
-        "summary_file": "sde_summary.csv",
-        "started_at": started,
-        "finished_at": time.time(),
-    }
-    _finalize(tracker, manifest)
-    return manifest
+    return run_dir.manifest
 
 
 def scan_meanfield_experiment(config, out_dir=None):
     """Finite-size scan toward the largest population in schedule.n_list."""
     if config.problem["kind"] != "benchmark":
         raise ConfigError(["problem.kind: scan-meanfield needs a benchmark problem"])
-    out_dir = Path(out_dir or config.output["dir"])
-    tracker = _OutputTracker(out_dir)
-    started = time.time()
-    bench = build_benchmark(config.problem)
-    scan = meanfield_scan(
-        bench, config.hp(), config.schedule["n_list"], config.seeds,
-        config.schedule["t_steps"], init=config.init_spec(),
-        n_projections=config.schedule["n_projections"],
-        n_checkpoints=config.schedule["n_checkpoints"],
-    )
-    try:
+    with _RunDir(config, "scan-meanfield", out_dir) as run_dir:
+        scan = meanfield_scan(
+            build_benchmark(config.problem), config.hp(), config.schedule["n_list"],
+            config.seeds, config.schedule["t_steps"], init=config.init_spec(),
+            n_projections=config.schedule["n_projections"],
+            n_checkpoints=config.schedule["n_checkpoints"],
+        )
         stderr = scan.stderr()
         rows = [
             [n, f"{scan.mean_discrepancy[i]:.10g}", f"{stderr[i]:.10g}"]
             for i, n in enumerate(scan.sizes)
         ]
-        write_csv(tracker.path("meanfield.csv"),
+        write_csv(run_dir.path("meanfield.csv", "summary"),
                   ["n_per_cluster", "mean_discrepancy", "stderr"], rows)
-    except Exception:
-        tracker.cleanup()
-        raise
-    manifest = {
-        "kind": "scan-meanfield",
-        "config": config.resolved(),
-        "config_hash": config.hash(),
-        "code_version": __version__,
-        "seeds": config.seeds,
-        "reference_size": scan.reference_size,
-        "monotone_violations": scan.monotone_violations(),
-        "metrics_files": [],
-        "summary_file": "meanfield.csv",
-        "started_at": started,
-        "finished_at": time.time(),
-    }
-    _finalize(tracker, manifest)
-    return manifest
+        run_dir.manifest.update(reference_size=scan.reference_size,
+                                monotone_violations=scan.monotone_violations())
+    return run_dir.manifest
 
 
 def export_plot_data(run_dir, out_path=None):
-    """Flatten a run directory's JSONL metrics into one long-format CSV
-    with columns (seed, index, metric, value)."""
+    """Flatten the JSONL metric files a completed run directory's manifest
+    lists into one long-format CSV with columns (seed, index, metric,
+    value).  Files the manifest does not list, such as those an earlier run
+    left in the directory, are not read."""
     run_dir = Path(run_dir)
     if not is_complete(run_dir):
         raise ConfigError([f"output.dir: {run_dir} is not a completed run directory"])
     out_path = Path(out_path or (run_dir / "plot_data.csv"))
+    with open(run_dir / "manifest.json") as fh:
+        names = json.load(fh)["metrics_files"]
     rows = []
-    for path in sorted(run_dir.glob("*seed*.jsonl")):
-        name = path.stem
-        seed = name.split("seed")[-1]
-        with open(path) as fh:
+    for name in names:
+        seed = Path(name).stem.split("seed")[-1]
+        with open(run_dir / name) as fh:
             for line in fh:
                 record = json.loads(line)
                 index = record.get("round", record.get("step", 0))
@@ -668,14 +556,6 @@ def export_plot_data(run_dir, out_path=None):
                                          f"{float(v):.10g}"])
                     elif isinstance(value, (int, float)) and not isinstance(value, bool):
                         rows.append([seed, index, key, f"{float(value):.10g}"])
-    seen = set()
-    unique_rows = []
-    for row in rows:
-        key = tuple(row[:3])
-        if key in seen:
-            continue
-        seen.add(key)
-        unique_rows.append(row)
-    unique_rows.sort(key=lambda r: (r[0], int(r[1]), r[2]))
-    write_csv(out_path, ["seed", "index", "metric", "value"], unique_rows)
+    rows.sort(key=lambda r: (r[0], int(r[1]), r[2]))
+    write_csv(out_path, ["seed", "index", "metric", "value"], rows)
     return out_path

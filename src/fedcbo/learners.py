@@ -11,16 +11,14 @@ explicit backprop; parameters travel as flat vectors so the consensus
 machinery can treat them as points in R^d.
 """
 
-import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
 from .errors import InvalidParameterError
-from .objectives import DEFAULT_GRAD_BOUND, Objective, clamp_gradient
+from .objectives import DEFAULT_GRAD_BOUND
 
 
 def _softmax(logits):
@@ -193,40 +191,6 @@ def predict(model, theta, x):
 def accuracy(model, theta, x, y):
     """Share of correct predictions, one per model in ``theta`` (..., n_params)."""
     return np.mean(predict(model, theta, x) == y, axis=-1)
-
-
-def empirical_loss(model, x, y, grad_bound=DEFAULT_GRAD_BOUND):
-    """Full-shard cross-entropy as an Objective (no minimizer metadata)."""
-
-    def _eval(theta):
-        return model.loss(np.asarray(theta, dtype=float), x, y)
-
-    def _grad(theta):
-        _, g = model.loss_grad(np.asarray(theta, dtype=float), x, y)
-        return clamp_gradient(g, grad_bound)
-
-    return Objective(
-        dim=model.n_params,
-        eval=_eval,
-        grad=_grad,
-        grad_bound=grad_bound,
-        name="empirical-cross-entropy",
-    )
-
-
-def sgd_step(theta, model, x, y, rate, batch_size=None, rng=None,
-             grad_bound=DEFAULT_GRAD_BOUND):
-    """One SGD step.  The batch is sampled without replacement; a batch size
-    of None or >= shard size means the full shard.  rate = 0 is a no-op."""
-    theta = np.asarray(theta, dtype=float)
-    n = x.shape[0]
-    if batch_size is not None and batch_size < n:
-        if rng is None:
-            raise InvalidParameterError("mini-batching requires an rng stream")
-        idx = rng.choice(n, size=batch_size, replace=False)
-        x, y = x[idx], y[idx]
-    _, g = model.loss_grad(theta, x, y)
-    return theta - rate * clamp_gradient(g, grad_bound)
 
 
 def _clamp_each(grads, bound):
@@ -402,7 +366,6 @@ class ClusteredDataset:
     y: np.ndarray                # (n_agents, n)
     agent_cluster: np.ndarray    # (n_agents,)
     test_sets: list              # per cluster: (x, y)
-    meta: dict = field(default_factory=dict)
 
     @property
     def shards(self):
@@ -484,67 +447,6 @@ def generate_clustered_data(n_clusters, n_agents, n_per_agent, input_dim,
             _sample_cluster(gen, n_test, k, n_classes, n_clusters, input_dim,
                             radius, blob_std, noise_std)
         )
-    meta = {
-        "n_clusters": n_clusters,
-        "n_agents": n_agents,
-        "n_per_agent": n_per_agent,
-        "input_dim": input_dim,
-        "n_classes": n_classes,
-        "seed": int(seed),
-        "radius": radius,
-        "blob_std": blob_std,
-        "noise_std": noise_std,
-        "n_test": n_test,
-        "rotation_angles": [2.0 * np.pi * k / n_clusters for k in range(n_clusters)],
-    }
     return ClusteredDataset(x=x, y=y, agent_cluster=agent_cluster,
-                            test_sets=test_sets, meta=meta)
+                            test_sets=test_sets)
 
-
-def save_dataset(dataset, out_dir):
-    """Columnar npz plus a JSON manifest describing how it was generated."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_x = np.concatenate([x for x, _ in dataset.shards])
-    train_y = np.concatenate([y for _, y in dataset.shards])
-    train_agent = np.concatenate(
-        [np.full(len(y), i) for i, (_, y) in enumerate(dataset.shards)]
-    )
-    test_x = np.concatenate([x for x, _ in dataset.test_sets])
-    test_y = np.concatenate([y for _, y in dataset.test_sets])
-    test_cluster = np.concatenate(
-        [np.full(len(y), k) for k, (_, y) in enumerate(dataset.test_sets)]
-    )
-    np.savez(
-        out_dir / "data.npz",
-        train_x=train_x, train_y=train_y, train_agent=train_agent,
-        test_x=test_x, test_y=test_y, test_cluster=test_cluster,
-        agent_cluster=dataset.agent_cluster,
-    )
-    manifest = dict(dataset.meta)
-    manifest["format"] = "clustered-npz-v1"
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return out_dir
-
-
-def load_dataset(in_dir):
-    in_dir = Path(in_dir)
-    with open(in_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "clustered-npz-v1":
-        raise InvalidParameterError(
-            f"unrecognized dataset format {manifest.get('format')!r}"
-        )
-    blob = np.load(in_dir / "data.npz")
-    n_agents = int(manifest["n_agents"])
-    n_clusters = int(manifest["n_clusters"])
-    x = np.stack([blob["train_x"][blob["train_agent"] == i] for i in range(n_agents)])
-    y = np.stack([blob["train_y"][blob["train_agent"] == i] for i in range(n_agents)])
-    test_sets = []
-    for k in range(n_clusters):
-        sel = blob["test_cluster"] == k
-        test_sets.append((blob["test_x"][sel], blob["test_y"][sel]))
-    meta = {k: v for k, v in manifest.items() if k != "format"}
-    return ClusteredDataset(x=x, y=y, agent_cluster=blob["agent_cluster"],
-                            test_sets=test_sets, meta=meta)

@@ -173,6 +173,20 @@ def test_eps_and_center_problems_exit_2_through_the_cli(tmp_path, capsys, hyperp
     assert field in capsys.readouterr().err
 
 
+def test_repeated_seeds_exit_2_naming_them_with_every_other_problem(tmp_path, capsys):
+    from fedcbo.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"seeds": [7, 3, 7, 1, 3],
+                                "hyperparams": {"alpha": -1}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert "config error: seeds: each seed may appear once, repeated: [3, 7]" in lines
+    assert any("hyperparams.alpha" in line for line in lines)
+    assert len(lines) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_contraction_factor_above_one_warns_once_naming_the_product(caplog):
     with caplog.at_level(logging.WARNING, logger="fedcbo.config"):
         config = resolve_config({"hyperparams": {"consensus_drift": 10.0,

@@ -4,10 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
-from fedcbo.consensus import (consensus_point, consensus_point_for_agent,
-                              stability_gap)
+from fedcbo.consensus import consensus_point, consensus_point_for_agent
 from fedcbo.errors import InvalidParameterError
 from fedcbo.objectives import make_quadratic
 
@@ -202,36 +200,3 @@ def test_agent_consensus_with_nothing_usable_raises():
     with pytest.raises(InvalidParameterError):
         consensus_point_for_agent(0, np.zeros(1), {}, lambda t: 0.0, 1.0,
                                   include_self=False)
-
-
-def exact_w2(cloud_a, cloud_b):
-    """Quadratic optimal transport between equal-size clouds by assignment."""
-    diff = cloud_a[:, None, :] - cloud_b[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(cost[rows, cols].mean())
-
-
-def test_stability_gap_is_zero_for_identical_clouds():
-    pts = np.random.default_rng(29).standard_normal((10, 2))
-    obj = make_quadratic(2, np.zeros(2))
-    assert stability_gap(pts, pts.copy(), obj, 3.0) == 0.0
-
-
-def test_stability_gap_bounded_by_transport_distance():
-    # Small perturbations move the consensus point by at most a constant
-    # times the quadratic transport distance between the clouds.
-    obj = make_quadratic(2, np.array([0.5, -0.25]))
-    for seed in (0, 1, 2):
-        gen = np.random.default_rng(seed)
-        cloud = gen.standard_normal((30, 2)) * 1.5
-        perturbed = cloud + 0.05 * gen.standard_normal((30, 2))
-        gap = stability_gap(cloud, perturbed, obj, 1.0)
-        w2 = exact_w2(cloud, perturbed)
-        assert gap <= 3.0 * w2
-
-
-def test_stability_gap_rejects_dimension_mismatch():
-    obj = make_quadratic(2, np.zeros(2))
-    with pytest.raises(InvalidParameterError):
-        stability_gap(np.ones((3, 2)), np.ones((3, 3)), obj, 1.0)

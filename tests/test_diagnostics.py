@@ -1,5 +1,5 @@
-"""Diagnostics: variance reports, guaranteed rates, sliced transport
-distance, finite-size scans, and selection curves."""
+"""Diagnostics: guaranteed rates, sliced transport distance and finite-size
+scans."""
 
 import csv
 import logging
@@ -9,29 +9,10 @@ import pytest
 
 from fedcbo import rng as rng_mod
 from fedcbo.diagnostics import (MeanFieldScan, make_projections, meanfield_scan,
-                                sliced_w1, sr_curve, theoretical_rate,
-                                variance_report, write_csv)
-from fedcbo.errors import InvalidParameterError, UnsupportedDiagnosticError
+                                sliced_w1, theoretical_rate, write_csv)
+from fedcbo.errors import InvalidParameterError
 from fedcbo.objectives import make_well_problem
-from fedcbo.protocol import RoundLog
 from fedcbo.sde import HyperParams, InitSpec
-
-
-def test_variance_report_hand_case():
-    positions = np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 4.0]])
-    labels = np.array([0, 0, 1])
-    minimizers = np.array([[0.0, 0.0], [0.0, 0.0]])
-    report = variance_report(positions, labels, minimizers)
-    assert abs(report.per_cluster[0] - 0.5) < 1e-12
-    assert abs(report.per_cluster[1] - 12.5) < 1e-12
-    assert abs(report.total - 13.0) < 1e-12
-
-
-def test_variance_report_rejects_mismatches():
-    with pytest.raises(UnsupportedDiagnosticError):
-        variance_report(np.ones((2, 3)), np.zeros(2, dtype=int), np.ones((1, 2)))
-    with pytest.raises(UnsupportedDiagnosticError):
-        variance_report(np.ones((2, 2)), np.array([0, 5]), np.ones((1, 2)))
 
 
 def test_theoretical_rate_halves_the_margin_by_default():
@@ -157,23 +138,6 @@ def test_scan_standard_error_shrinks_like_root_seed_count():
     stderr_16 = samples.std(ddof=1) / np.sqrt(16)
     ratio = stderr_16 / stderr_8
     assert 0.495 <= ratio <= 0.919  # 1/sqrt(2) +- 30%
-
-
-def test_sr_curve_pairs_measured_and_oracle_values():
-    hp = HyperParams(eps_start=0.5, eps_decay=0.01, eps_floor=0.1)
-    clusters = np.array([0, 0, 1, 1])
-    logs = [
-        RoundLog(round_index=0, participants=[0, 1, 2, 3], eps=0.5,
-                 selections={0: [1, 2], 2: [3]}, own_losses={}),
-        RoundLog(round_index=1, participants=[0, 1, 2, 3], eps=0.49,
-                 selections={1: [0]}, own_losses={}),
-    ]
-    curve = sr_curve(logs, clusters, hp)
-    assert list(curve.rounds) == [0, 1]
-    assert abs(curve.sr[0] - 0.75) < 1e-12
-    assert abs(curve.sr[1] - 1.0) < 1e-12
-    expected0 = 0.5 + 0.5 * (2 - 1) / (4 - 1)
-    assert abs(curve.oracle[0] - expected0) < 1e-12
 
 
 def test_write_csv_roundtrip(tmp_path):

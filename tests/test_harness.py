@@ -2,6 +2,8 @@
 comparison, and exit codes."""
 
 import hashlib
+import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import fedcbo
-from fedcbo import experiment
+from fedcbo import diagnostics, experiment, protocol, sde
 from fedcbo.cli import main
 from fedcbo.config import resolve_config
 from fedcbo.errors import ConfigError, DivergenceError
@@ -148,24 +150,67 @@ def tiny_scan():
 
 
 RERUNS = {
-    # entry point, config, the inner step that fails, the failing call
-    "run": (run_experiment, tiny_benchmark, "run_protocol", 2),
-    "compare": (compare_protocols, tiny_learner, "run_protocol", 3),
-    "sde": (run_sde_experiment, tiny_scan, "run_sde", 2),
-    "scan-meanfield": (scan_meanfield_experiment, tiny_scan, "meanfield_scan", 1),
+    # entry point, config, the module and inner step that fails, the failing call
+    "run": (run_experiment, tiny_benchmark, experiment, "run_protocol", 2),
+    "compare": (compare_protocols, tiny_learner, experiment, "run_protocol", 3),
+    "sde": (run_sde_experiment, tiny_scan, experiment, "run_sde", 2),
+    "scan-meanfield": (scan_meanfield_experiment, tiny_scan, experiment,
+                       "meanfield_scan", 1),
+    "scan-meanfield-sliced-w1": (scan_meanfield_experiment, tiny_scan, diagnostics,
+                                 "sliced_w1", 5),
 }
 
 
 @pytest.mark.parametrize("command", sorted(RERUNS))
 def test_rerun_stopped_midway_is_not_complete(tmp_path, monkeypatch, command):
-    entry, make_config, step, call = RERUNS[command]
+    entry, make_config, module, step, call = RERUNS[command]
     entry(make_config(), out_dir=tmp_path)
     assert is_complete(tmp_path)
-    monkeypatch.setattr(experiment, step, failing_on_call(getattr(experiment, step), call))
+    monkeypatch.setattr(module, step, failing_on_call(getattr(module, step), call))
     with pytest.raises(RuntimeError, match="stopped mid-run"):
         entry(make_config(), out_dir=tmp_path)
     assert not (tmp_path / "manifest.json").exists()
     assert not is_complete(tmp_path)
+
+
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_failed_command_removes_every_file_it_wrote(tmp_path, monkeypatch, command):
+    # "run" and "sde" have written their first seed's file when they stop.
+    entry, make_config, module, step, call = RERUNS[command]
+    monkeypatch.setattr(module, step, failing_on_call(getattr(module, step), call))
+    with pytest.raises(RuntimeError, match="stopped mid-run"):
+        entry(make_config(), out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+SHARED_MANIFEST_KEYS = {"kind", "config", "config_hash", "code_version", "seeds",
+                        "metrics_files", "summary_file", "started_at", "finished_at"}
+COMMAND_MANIFEST = {
+    # keys of the command's own, and the pattern of its metric file names
+    "run": ({"protocol", "wall_time_s", "counters"}, "metrics_seed{}.jsonl"),
+    "compare": ({"protocols", "table", "flags"}, None),
+    "sde": (set(), "trajectory_seed{}.jsonl"),
+    "scan-meanfield": ({"reference_size", "monotone_violations"}, None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MANIFEST))
+def test_every_command_writes_a_complete_manifest(tmp_path, command):
+    entry, make_config = RERUNS[command][:2]
+    own_keys, metrics_name = COMMAND_MANIFEST[command]
+    config = make_config()
+    entry(config, out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == SHARED_MANIFEST_KEYS | own_keys
+    assert manifest["kind"] == command
+    assert manifest["config_hash"] == config.hash()
+    assert manifest["seeds"] == config.seeds
+    assert manifest["started_at"] <= manifest["finished_at"]
+    assert manifest["metrics_files"] == (
+        [metrics_name.format(s) for s in config.seeds] if metrics_name else [])
+    for name in manifest["metrics_files"] + [manifest["summary_file"]]:
+        assert (tmp_path / name).is_file()
+    assert is_complete(tmp_path)
 
 
 def test_interrupted_manifest_write_leaves_no_manifest(tmp_path, monkeypatch):
@@ -287,6 +332,17 @@ def test_plot_export_flattens_to_long_format(tmp_path):
     first = out.read_bytes()
     export_plot_data(tmp_path)
     assert out.read_bytes() == first
+
+
+def test_plot_export_reads_only_the_files_the_manifest_lists(tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    run_experiment(tiny_benchmark(seeds=[0, 1, 2]), out_dir=reused)
+    run_experiment(tiny_benchmark(seeds=[5]), out_dir=reused)
+    run_experiment(tiny_benchmark(seeds=[5]), out_dir=fresh)
+    assert (reused / "metrics_seed0.jsonl").exists()  # left by the first run
+    rows = export_plot_data(reused).read_text().strip().split("\n")[1:]
+    assert {row.split(",")[0] for row in rows} == {"5"}
+    assert export_plot_data(reused).read_bytes() == export_plot_data(fresh).read_bytes()
 
 
 def test_plot_export_requires_a_completed_run(tmp_path):
@@ -413,6 +469,36 @@ def test_cli_compare_scan_and_sde_commands(tmp_path, capsys):
     assert main(["sde", "--config", write_config(tmp_path, sde, "sde.json"),
                  "--out", str(tmp_path / "sde")]) == 0
     assert "sde run complete" in capsys.readouterr().out
+
+
+def load_tracer():
+    """The benchmark's span tracer, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_and_public_names_resolve():
+    # The benchmark tracer wraps these by module and attribute path, and its
+    # hooks read arguments by position or name.  A deletion or rename must
+    # fail here rather than break a traced benchmark run.
+    for span, module_name, path, _ in load_tracer().TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            assert hasattr(owner, part), f"{span}: {module_name}.{path}"
+            owner = getattr(owner, part)
+        assert callable(owner), span
+    for name in fedcbo.__all__:
+        assert hasattr(fedcbo, name), name
+    hooked = [(protocol.fedcbo_round, 3, "hp"), (sde.run_sde, 0, "problem"),
+              (sde.run_sde, 1, "n_per_cluster"), (sde.run_sde, 3, "t_steps"),
+              (diagnostics.sliced_w1, 2, "n_projections"),
+              (fedcbo.consensus_point, 0, "positions")]
+    for fn, index, name in hooked:
+        assert list(inspect.signature(fn).parameters)[index] == name, fn.__name__
+    assert "projections" in inspect.signature(diagnostics.sliced_w1).parameters
 
 
 def source_env():

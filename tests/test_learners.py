@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from fedcbo.errors import InvalidParameterError
-from fedcbo.learners import (ShardTask, accuracy, empirical_loss,
-                             generate_clustered_data, load_dataset, make_model,
-                             predict, rotation_matrix, save_dataset, sgd_step)
+from fedcbo.learners import (ShardTask, accuracy, generate_clustered_data,
+                             make_model, predict, rotation_matrix)
 
 
 def small_data(n=12, dim=3, n_classes=3, seed=0):
@@ -81,37 +80,6 @@ def test_predict_and_accuracy_on_a_separable_toy():
     y = np.array([0, 1, 0])
     assert np.array_equal(predict(model, theta, x), y)
     assert accuracy(model, theta, x, y) == 1.0
-
-
-def test_empirical_loss_wraps_model_as_objective():
-    x, y = small_data()
-    model = make_model("logistic", 3, 3)
-    obj = empirical_loss(model, x, y, grad_bound=0.5)
-    theta = 0.3 * np.random.default_rng(2).standard_normal(model.n_params)
-    assert obj.dim == model.n_params
-    assert abs(obj.eval(theta) - model.loss(theta, x, y)) < 1e-12
-    assert np.linalg.norm(obj.grad(theta)) <= 0.5 + 1e-12
-
-
-def test_sgd_step_full_batch_is_one_exact_gradient_step():
-    x, y = small_data()
-    model = make_model("logistic", 3, 3)
-    theta = np.zeros(model.n_params)
-    _, g = model.loss_grad(theta, x, y)
-    stepped = sgd_step(theta, model, x, y, rate=0.1)
-    assert np.allclose(stepped, -0.1 * g, atol=1e-12)
-    assert np.array_equal(sgd_step(theta, model, x, y, rate=0.0), theta)
-
-
-def test_sgd_step_minibatch_needs_a_stream():
-    x, y = small_data()
-    model = make_model("logistic", 3, 3)
-    with pytest.raises(InvalidParameterError):
-        sgd_step(np.zeros(model.n_params), model, x, y, rate=0.1, batch_size=4)
-    gen = np.random.default_rng(0)
-    out = sgd_step(np.zeros(model.n_params), model, x, y, rate=0.1, batch_size=4,
-                   rng=gen)
-    assert out.shape == (model.n_params,)
 
 
 def test_shard_task_train_matches_manual_descent():
@@ -201,34 +169,3 @@ def test_cluster_rotation_places_class_means_on_rotated_circle():
             empirical = x[y == c, :2].mean(axis=0)
             assert np.allclose(empirical, rot @ base[c], atol=0.01)
         assert np.array_equal(x[:, 2], np.zeros(len(x)))
-
-
-def test_dataset_save_load_roundtrip(tmp_path):
-    ds = generate_clustered_data(n_clusters=2, n_agents=4, n_per_agent=6,
-                                 input_dim=3, n_classes=2, seed=1, n_test=8)
-    out = save_dataset(ds, tmp_path / "ds")
-    assert (out / "data.npz").exists()
-    assert (out / "manifest.json").exists()
-
-    loaded = load_dataset(out)
-    assert np.array_equal(loaded.agent_cluster, ds.agent_cluster)
-    for (xa, ya), (xb, yb) in zip(ds.shards, loaded.shards):
-        assert np.array_equal(xa, xb)
-        assert np.array_equal(ya, yb)
-    for (xa, ya), (xb, yb) in zip(ds.test_sets, loaded.test_sets):
-        assert np.array_equal(xa, xb)
-        assert np.array_equal(ya, yb)
-    assert loaded.meta["n_clusters"] == 2
-
-
-def test_load_rejects_unknown_format(tmp_path):
-    import json
-
-    ds = generate_clustered_data(n_clusters=2, n_agents=2, n_per_agent=4,
-                                 input_dim=3, n_classes=2, seed=2, n_test=4)
-    out = save_dataset(ds, tmp_path / "ds")
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["format"] = "something-else"
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(InvalidParameterError):
-        load_dataset(out)

@@ -125,11 +125,11 @@ def test_budget_clamps_to_available_peers_with_one_warning(caplog):
     with caplog.at_level(logging.WARNING):
         for run in range(2):
             caplog.clear()
-            _, final = run_protocol(config, seed=run)
+            _, counters = run_protocol(config, seed=run)
             clamp_messages = [r for r in caplog.records if "clamping" in r.message]
             assert len(clamp_messages) == 1
-            assert final["counters"]["budget_clamps"] == 3 * 4
-            assert final["counters"]["downloads"] == 3 * 4 * 3
+            assert counters["budget_clamps"] == 3 * 4
+            assert counters["downloads"] == 3 * 4 * 3
 
 
 def test_zero_budget_and_validation():
