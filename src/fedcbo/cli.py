@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical divergence.
 import argparse
 import logging
 import sys
+from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError, DivergenceError
@@ -22,13 +23,13 @@ from .experiment import (compare_protocols, export_plot_data, run_experiment,
 log = logging.getLogger(__name__)
 
 
-def _add_shared(parser, config_required=True):
+def _add_shared(parser, config_required=True,
+                out_help="output directory (overrides the config)"):
     parser.add_argument("--config", required=config_required,
                         help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None,
                         help="run a single seed instead of the configured list")
-    parser.add_argument("--out", default=None,
-                        help="output directory (overrides the config)")
+    parser.add_argument("--out", default=None, help=out_help)
     parser.add_argument("--protocol", default=None,
                         choices=("fedcbo", "fedavg", "ifca", "local"),
                         help="protocol override")
@@ -45,7 +46,9 @@ def build_parser():
     for name in ("run", "compare", "scan-meanfield", "sde"):
         _add_shared(sub.add_parser(name))
     plot = sub.add_parser("plot-export")
-    _add_shared(plot, config_required=False)
+    _add_shared(plot, config_required=False,
+                out_help="path of the CSV file to write (default: plot_data.csv "
+                         "in the run directory)")
     plot.add_argument("--run-dir", default=None,
                       help="completed run directory to export (defaults to the "
                            "config's output dir)")
@@ -54,12 +57,25 @@ def build_parser():
 
 def _apply_overrides(config, args):
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError([f"--seed: must be >= 0, got {args.seed}"])
         config.seeds = [args.seed]
     if args.protocol is not None:
         config.protocol = args.protocol
     if args.threads is not None and args.threads < 1:
         raise ConfigError(["--threads: must be >= 1"])
     return config
+
+
+def _check_csv_path(out):
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError([f"--out: {out} is a directory; plot-export --out is "
+                           "the path of the CSV file to write"])
+    if not path.parent.is_dir():
+        raise ConfigError([f"--out: directory {path.parent} of {out} does not exist"])
 
 
 def main(argv=None):
@@ -72,6 +88,7 @@ def main(argv=None):
                 if args.config is None:
                     raise ConfigError(["plot-export needs --run-dir or --config"])
                 run_dir = load_config(args.config).output["dir"]
+            _check_csv_path(args.out)
             out = export_plot_data(run_dir, args.out)
             print(f"wrote {out}")
             return 0

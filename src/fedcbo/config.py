@@ -11,6 +11,7 @@ import copy
 import hashlib
 import json
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -131,10 +132,16 @@ def _merge_section(name, defaults, given, problems):
     return out
 
 
+def _is_finite_number(value):
+    # json parses NaN and Infinity, so a number can still be non-finite.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _require_number(section, key, value, problems, minimum=None, strict=False,
                     integer=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{section}.{key}: expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        problems.append(f"{section}.{key}: expected a finite number, got {value!r}")
         return
     if integer and int(value) != value:
         problems.append(f"{section}.{key}: expected an integer, got {value!r}")
@@ -201,6 +208,8 @@ def resolve_config(raw):
         for s in seeds:
             if isinstance(s, bool) or not isinstance(s, int):
                 problems.append(f"seeds: expected integers, got {s!r}")
+            elif s < 0:
+                problems.append(f"seeds: must be >= 0, got {s}")
         # A repeated seed would run twice, list its metric file twice and
         # give the summary a spread of zero.
         counts = Counter(s for s in seeds if isinstance(s, int) and not isinstance(s, bool))
@@ -233,6 +242,11 @@ def _validate_problem(problem, problems):
         for key in ("radius", "blob_std"):
             _require_number("problem", key, problem[key], problems, minimum=0, strict=True)
         _require_number("problem", "noise_std", problem["noise_std"], problems, minimum=0)
+        if problem["data_seed"] is not None:
+            _require_number("problem", "data_seed", problem["data_seed"], problems,
+                            minimum=0, integer=True)
+        if problem["init_scale"] is not None:
+            _require_number("problem", "init_scale", problem["init_scale"], problems)
         if isinstance(problem["n_agents"], int) and isinstance(problem["n_clusters"], int):
             if problem["n_clusters"] >= 1 and problem["n_agents"] % problem["n_clusters"]:
                 problems.append("problem.n_agents: must be divisible by n_clusters")
@@ -247,6 +261,8 @@ def _validate_problem(problem, problems):
         _require_number("problem", "scale", problem["scale"], problems, minimum=0, strict=True)
         _require_number("problem", "init_std", problem["init_std"], problems,
                         minimum=0, strict=True)
+        _require_number("problem", "init_mean", problem["init_mean"], problems)
+        _require_number("problem", "offset", problem["offset"], problems)
         _validate_centers(problem["centers"], problem["dim"], problems)
 
 
@@ -258,9 +274,9 @@ def _validate_centers(centers, dim, problems):
         return
     check_length = isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1
     for k, center in enumerate(centers):
-        if not isinstance(center, list) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in center):
-            problems.append(f"problem.centers[{k}]: expected a list of numbers, got {center!r}")
+        if not isinstance(center, list) or not all(_is_finite_number(v) for v in center):
+            problems.append(f"problem.centers[{k}]: expected a list of finite numbers, "
+                            f"got {center!r}")
         elif check_length and len(center) != dim:
             problems.append(f"problem.centers[{k}]: has {len(center)} coordinates, "
                             f"dim is {dim}")
@@ -278,12 +294,11 @@ def _validate_hyperparams(hp, problems):
         _require_number("hyperparams", key, hp[key], problems, minimum=0)
     for key in ("eps_start", "eps_floor"):
         value = hp[key]
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and value > 1:
+        if _is_finite_number(value) and value > 1:
             problems.append(f"hyperparams.{key}: must be <= 1, got {value}")
     _require_number("hyperparams", "momentum", hp["momentum"], problems, minimum=0)
-    if isinstance(hp["momentum"], (int, float)) and not isinstance(hp["momentum"], bool):
-        if hp["momentum"] >= 1.0:
-            problems.append("hyperparams.momentum: must be < 1")
+    if _is_finite_number(hp["momentum"]) and hp["momentum"] >= 1.0:
+        problems.append("hyperparams.momentum: must be < 1")
     if hp["batch_size"] is not None:
         _require_number("hyperparams", "batch_size", hp["batch_size"], problems,
                         minimum=1, integer=True)
@@ -307,7 +322,7 @@ def _validate_schedule(schedule, problems):
     _require_number("schedule", "participation", schedule["participation"], problems,
                     minimum=0, strict=True)
     p = schedule["participation"]
-    if isinstance(p, (int, float)) and not isinstance(p, bool) and p > 1:
+    if _is_finite_number(p) and p > 1:
         problems.append("schedule.participation: must be <= 1")
     _require_number("schedule", "record_every", schedule["record_every"], problems,
                     minimum=1, integer=True)

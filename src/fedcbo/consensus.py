@@ -44,17 +44,33 @@ def consensus_point(positions, losses, alpha):
         )
     if not np.isfinite(alpha) or alpha < 0:
         raise InvalidParameterError(f"alpha must be finite and >= 0, got {alpha}")
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if bad.size:
-        raise InvalidParameterError(f"non-finite loss at index {bad[0]}")
-    if not np.all(np.isfinite(positions)):
+    if not np.isfinite(losses).all():
+        bad = np.flatnonzero(~np.isfinite(losses))[0]
+        raise InvalidParameterError(f"non-finite loss at index {bad}")
+    if not np.isfinite(positions).all():
         raise InvalidParameterError("non-finite particle position")
 
     shifted = losses - losses.min()
     weights = np.exp(-alpha * shifted)
     total = float(np.add.reduce(weights))
-    value = np.add.reduce(positions * weights[:, None], axis=0) / total
-    value = np.clip(value, positions.min(axis=0), positions.max(axis=0))
+    # Coordinate-major view, contiguous when the caller keeps a (dim, n)
+    # cloud.  Both sums run in particle order: with one coordinate the
+    # 1-D reduce is the (n, 1) reduce; otherwise accumulate is sequential
+    # like the (n, dim) reduce over rows, in any memory layout.
+    pt = positions.T
+    if pt.shape[0] == 1:
+        value = np.add.reduce(pt[0] * weights, keepdims=True) / total
+    else:
+        weighted = pt * weights
+        value = np.add.accumulate(weighted, axis=1, out=weighted)[:, -1] / total
+    # Min and max along the particle axis are exact except for the sign of
+    # a zero bound, which depends on the reduction order; take zero bounds
+    # the (n, dim) way.
+    lo, hi = pt.min(axis=1), pt.max(axis=1)
+    if not (lo.all() and hi.all()):
+        rows = np.ascontiguousarray(positions)
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+    value = np.clip(value, lo, hi)
     return ConsensusPoint(value=value, total_weight=total, alpha=float(alpha))
 
 

@@ -147,52 +147,115 @@ def cluster_consensus(positions, labels, problem, alpha, step=None):
     points = np.empty((problem.n_clusters, positions.shape[1]))
     for k, objective in enumerate(problem.objectives):
         losses = objective.losses(positions)
-        bad = np.flatnonzero(~np.isfinite(losses))
-        if bad.size:
+        if not np.isfinite(losses).all():
+            bad = int(np.flatnonzero(~np.isfinite(losses))[0])
             raise DivergenceError(
-                f"loss of particle {bad[0]} became non-finite"
+                f"loss of particle {bad} became non-finite"
                 + (f" at step {step}" if step is not None else ""),
-                step=step, index=int(bad[0]),
+                step=step, index=bad,
             )
         points[k] = consensus_point(positions, losses, alpha).value
     return points
 
 
-def _advance(positions, labels, problem, hp, noise, step=None):
-    """Shared Euler update; ``noise`` is an (n, 2, dim) block or None.
-
-    Overflow is handled by the explicit finiteness checks, so numpy's own
-    overflow warnings are silenced here.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _advance_inner(positions, labels, problem, hp, noise, step)
-
-
-def _advance_inner(positions, labels, problem, hp, noise, step):
-    g = hp.step_size
-    consensus = cluster_consensus(positions, labels, problem, hp.alpha, step=step)
-    new = np.empty_like(positions)
-    for k, objective in enumerate(problem.objectives):
+def _clusters(labels, n_clusters):
+    """Each cluster's particles: a slice when they form one contiguous run,
+    as ``make_cloud`` lays them out, else an index array; None if empty."""
+    out = []
+    for k in range(n_clusters):
         idx = np.flatnonzero(labels == k)
         if idx.size == 0:
+            out.append(None)
+        elif idx[-1] - idx[0] + 1 == idx.size:
+            out.append(slice(int(idx[0]), int(idx[-1]) + 1))
+        else:
+            out.append(idx)
+    return out
+
+
+def _rows(pt):
+    """The (N, d) rows of a (d, N) cloud, for the functions that take one
+    particle per row.  Up to d = 2 the transposed view gives them the bits
+    of a C-ordered array; from d = 3 their einsum and row sums would add in
+    another order on it, so they get a C-ordered copy."""
+    return pt.T if pt.shape[0] <= 2 else np.ascontiguousarray(pt.T)
+
+
+def _row_norms(x):
+    """Norm of every column of a (d, n) array, bit for bit
+    ``np.linalg.norm(rows, axis=1)`` of its C-ordered (n, d) rows: NumPy
+    adds fewer than 8 terms in order and 8 or more pairwise."""
+    if x.shape[0] >= 8:
+        return np.linalg.norm(np.ascontiguousarray(x.T), axis=1)
+    total = x[0] * x[0]
+    for row in x[1:]:
+        total += row * row
+    return np.sqrt(total, out=total)
+
+
+def _step(pt, labels, clusters, problem, hp, noise, step, consensus=None):
+    """One Euler update of a (d, N) cloud; returns the new (d, N) cloud.
+
+    ``noise`` is the step's (2, d, N) normal block (z, then z~) or None;
+    ``consensus`` passes in the step's consensus points when a record has
+    already computed them.  Run under ``np.errstate(over="ignore",
+    invalid="ignore")``: overflow is caught by the explicit finiteness
+    checks.
+    """
+    g = hp.step_size
+    rows = _rows(pt)
+    if consensus is None:
+        consensus = cluster_consensus(rows, labels, problem, hp.alpha, step=step)
+    new = np.empty_like(pt)
+    for k, (objective, sel) in enumerate(zip(problem.objectives, clusters)):
+        if sel is None:
             continue
-        theta = positions[idx]
-        to_consensus = theta - consensus[k]
-        grads = objective.gradients(theta)
+        theta = pt[:, sel]
+        to_consensus = theta - consensus[k][:, None]
+        grads = objective.gradients(rows[sel]).T
         drift = theta - hp.consensus_drift * g * to_consensus - hp.grad_drift * g * grads
         if noise is None:
-            new[idx] = drift
+            new[:, sel] = drift
             continue
-        dist = np.linalg.norm(to_consensus, axis=1)
-        gnorm = np.linalg.norm(grads, axis=1)
-        z = noise[idx, 0]
-        zt = noise[idx, 1]
-        new[idx] = (
+        new[:, sel] = (
             drift
-            + hp.consensus_noise * np.sqrt(g) * dist[:, None] * z
-            + hp.grad_noise * np.sqrt(g) * gnorm[:, None] * zt
+            + hp.consensus_noise * np.sqrt(g) * _row_norms(to_consensus) * noise[0][:, sel]
+            + hp.grad_noise * np.sqrt(g) * _row_norms(grads) * noise[1][:, sel]
         )
     return new
+
+
+# Particles drawn into one contiguous tile before it is copied into the
+# step-major noise block: a copy per particle would write one scattered
+# element per (step, term, coordinate).
+_DRAW_TILE = 1024
+
+
+def _draw_noise(streams, out):
+    """Fill ``out`` (steps, 2, d, N) with the particles' next normals and
+    return it.  ``out[:, :, :, i]`` is one (steps, 2, d) draw of
+    ``streams[i]``, which takes the stream's numbers exactly as one (2, d)
+    draw per step would."""
+    n = len(streams)
+    tile = np.empty((min(_DRAW_TILE, n),) + out.shape[:-1])
+    for start in range(0, n, _DRAW_TILE):
+        part = tile[:min(_DRAW_TILE, n - start)]
+        for row, stream in zip(part, streams[start:start + len(part)]):
+            stream.standard_normal(out=row)
+        out[..., start:start + len(part)] = np.moveaxis(part, 0, -1)
+    return out
+
+
+def _check_finite(pt, step):
+    finite = np.isfinite(pt)
+    if finite.all():
+        return
+    bad = int(np.flatnonzero(~finite.all(axis=0))[0])
+    raise DivergenceError(
+        f"particle {bad} became non-finite at step {step}",
+        step=step,
+        index=bad,
+    )
 
 
 def em_step(cloud, problem, hp):
@@ -205,29 +268,24 @@ def em_step(cloud, problem, hp):
         raise InvalidParameterError(
             f"cloud dim {cloud.dim} does not match problem dim {problem.dim}"
         )
-    n = cloud.n_particles
-    noise = np.empty((n, 2, cloud.dim))
-    for i in range(n):
-        noise[i] = cloud.streams[i].standard_normal((2, cloud.dim))
-    new_positions = _advance(cloud.positions, cloud.labels, problem, hp, noise,
-                             step=cloud.step_count + 1)
-    _check_finite(new_positions, cloud.step_count + 1)
+    outside = np.flatnonzero((cloud.labels < 0) | (cloud.labels >= problem.n_clusters))
+    if outside.size:
+        raise InvalidParameterError(
+            f"particle {outside[0]} has label {cloud.labels[outside[0]]}, outside "
+            f"the problem's {problem.n_clusters} clusters"
+        )
+    step = cloud.step_count + 1
+    noise = _draw_noise(cloud.streams, np.empty((1, 2, cloud.dim, cloud.n_particles)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pt = _step(np.ascontiguousarray(cloud.positions.T), cloud.labels,
+                   _clusters(cloud.labels, problem.n_clusters), problem, hp,
+                   noise[0], step)
+    _check_finite(pt, step)
     return ParticleCloud(
-        positions=new_positions,
+        positions=np.ascontiguousarray(pt.T),
         labels=cloud.labels,
         streams=cloud.streams,
-        step_count=cloud.step_count + 1,
-    )
-
-
-def _check_finite(positions, step):
-    if np.all(np.isfinite(positions)):
-        return
-    bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))[0]
-    raise DivergenceError(
-        f"particle {bad} became non-finite at step {step}",
-        step=step,
-        index=int(bad),
+        step_count=step,
     )
 
 
@@ -274,21 +332,28 @@ def cluster_variances(positions, labels, minimizers):
     return out
 
 
-_NOISE_CHUNK = 256
+# run_sde pre-draws noise in blocks of as many steps as fit in this many
+# doubles (128 MiB), at least one step, which bounds its memory whatever
+# the cloud size.
+NOISE_DOUBLES = 1 << 24
 
 
 def run_sde(problem, n_per_cluster, hp, t_steps, init=None, seed=0,
             record_every=1, checkpoint_steps=(), jsonl_path=None):
     """Integrate the coupled system for t_steps and record V and consensus error.
 
-    Noise is pre-drawn from per-particle streams in step-major order, which
-    reproduces exactly what repeated ``em_step`` calls would draw.  Snapshots
-    of the positions are kept at ``checkpoint_steps``.
+    The cloud is kept as one (d, N) array, so each update runs along the
+    particle axis.  Noise is pre-drawn from per-particle streams in
+    step-major blocks, which reproduces exactly what repeated ``em_step``
+    calls would draw; a noiseless run draws none.  Snapshots of the
+    positions are kept at ``checkpoint_steps``.
     """
     if t_steps < 0:
         raise InvalidParameterError("t_steps must be >= 0")
     init = init or InitSpec()
     cloud = make_cloud(problem, n_per_cluster, init, seed)
+    labels = cloud.labels
+    clusters = _clusters(labels, problem.n_clusters)
     minimizers = problem.minimizers
     lip = problem.max_grad_lipschitz
     regime = hp.theory_regime(lip, problem.dim) if lip is not None else None
@@ -297,46 +362,45 @@ def run_sde(problem, n_per_cluster, hp, t_steps, init=None, seed=0,
     checkpoints = {}
     rec_steps, rec_v, rec_err = [], [], []
 
-    def record(step, positions):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec_steps.append(step)
-            rec_v.append(cluster_variances(positions, cloud.labels, minimizers))
-            points = cluster_consensus(positions, cloud.labels, problem, hp.alpha,
-                                       step=step)
-            rec_err.append(np.linalg.norm(points - minimizers, axis=1))
+    def record(step, pt):
+        # The consensus points recorded here are the next step's inputs.
+        rows = _rows(pt)
+        rec_steps.append(step)
+        rec_v.append(cluster_variances(rows, labels, minimizers))
+        points = cluster_consensus(rows, labels, problem, hp.alpha, step=step)
+        rec_err.append(np.linalg.norm(points - minimizers, axis=1))
+        return points
 
-    record(0, cloud.positions)
-    if 0 in checkpoint_steps:
-        checkpoints[0] = cloud.positions.copy()
-
-    positions = cloud.positions
-    n = cloud.n_particles
+    pt = np.ascontiguousarray(cloud.positions.T)
+    dim, n = pt.shape
     noisy = hp.consensus_noise > 0 or hp.grad_noise > 0
-    step = 0
-    while step < t_steps:
-        block = min(_NOISE_CHUNK, t_steps - step)
-        # Per-particle block draw: C-order (block, 2, dim) matches the
-        # per-step draw order of em_step.
-        chunk = np.empty((n, block, 2, cloud.dim))
-        for i in range(n):
-            chunk[i] = cloud.streams[i].standard_normal((block, 2, cloud.dim))
-        for s in range(block):
-            noise = chunk[:, s] if noisy else None
-            positions = _advance(positions, cloud.labels, problem, hp, noise,
-                                 step=step + 1)
-            step += 1
-            _check_finite(positions, step)
-            if step % record_every == 0 or step == t_steps:
-                record(step, positions)
-            if step in checkpoint_steps:
-                checkpoints[step] = positions.copy()
+    block_steps = max(1, min(t_steps, NOISE_DOUBLES // (2 * dim * n)))
+    buffer = np.empty((block_steps, 2, dim, n)) if noisy else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        consensus = record(0, pt)
+        if 0 in checkpoint_steps:
+            checkpoints[0] = cloud.positions.copy()
+        step = 0
+        while step < t_steps:
+            block = min(block_steps, t_steps - step)
+            noise = _draw_noise(cloud.streams, buffer[:block]) if noisy else None
+            for s in range(block):
+                step += 1
+                pt = _step(pt, labels, clusters, problem, hp,
+                           None if noise is None else noise[s], step, consensus)
+                consensus = None
+                _check_finite(pt, step)
+                if step % record_every == 0 or step == t_steps:
+                    consensus = record(step, pt)
+                if step in checkpoint_steps:
+                    checkpoints[step] = np.ascontiguousarray(pt.T)
 
     result = SdeResult(
         steps=np.array(rec_steps),
         times=np.array(rec_steps, dtype=float) * hp.step_size,
         variances=np.array(rec_v),
         consensus_errors=np.array(rec_err),
-        final_positions=positions,
+        final_positions=np.ascontiguousarray(pt.T),
         final_labels=cloud.labels.copy(),
         checkpoints=checkpoints,
         theory_regime=regime,

@@ -202,3 +202,69 @@ def test_default_contraction_factor_of_one_does_not_warn(caplog):
     with caplog.at_level(logging.WARNING, logger="fedcbo.config"):
         resolve_config({})
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+NON_FINITE_CASES = {
+    "non-numeric-mean-and-offset": (
+        {"problem": {"init_mean": "x", "offset": "x"}},
+        ["problem.init_mean: expected a finite number, got 'x'",
+         "problem.offset: expected a finite number, got 'x'"]),
+    "infinite-alpha": ({"hyperparams": {"alpha": float("inf")}},
+                       ["hyperparams.alpha: expected a finite number, got inf"]),
+    "infinite-init-std": ({"problem": {"init_std": float("inf")}},
+                          ["problem.init_std: expected a finite number, got inf"]),
+    "nan-step-size": ({"hyperparams": {"step_size": float("nan")}},
+                      ["hyperparams.step_size: expected a finite number, got nan"]),
+    "everything-at-once": (
+        {"problem": {"init_mean": "x", "offset": "x", "init_std": float("inf"),
+                     "centers": [[float("nan"), 0.0], [1.0, 1.0]]},
+         "hyperparams": {"alpha": float("inf"), "step_size": float("nan"),
+                         "eps_start": float("inf")}},
+        ["problem.init_std: expected a finite number, got inf",
+         "problem.init_mean: expected a finite number, got 'x'",
+         "problem.offset: expected a finite number, got 'x'",
+         "problem.centers[0]: expected a list of finite numbers, got [nan, 0.0]",
+         "hyperparams.alpha: expected a finite number, got inf",
+         "hyperparams.step_size: expected a finite number, got nan",
+         "hyperparams.eps_start: expected a finite number, got inf"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_or_non_numeric_fields_exit_2_listing_every_problem(case, tmp_path,
+                                                                       capsys):
+    from fedcbo.cli import main
+
+    overrides, expected = NON_FINITE_CASES[case]
+    raw = {"problem": {"kind": "benchmark", "n_per_cluster": 5},
+           "schedule": {"t_steps": 5}, "seeds": [0]}
+    for section, fields in overrides.items():
+        raw.setdefault(section, {}).update(fields)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))  # writes NaN and Infinity, as json parses them
+    assert main(["sde", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"config error: {problem}" for problem in expected]
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seeds_and_unchecked_learner_fields_exit_2(tmp_path, capsys):
+    from fedcbo.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"problem": {"data_seed": "x", "init_scale": "y"},
+                                "seeds": [-1, 2]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "config error: seeds: must be >= 0, got -1",
+        "config error: problem.data_seed: expected a finite number, got 'x'",
+        "config error: problem.init_scale: expected a finite number, got 'y'",
+    ]
+    path.write_text(json.dumps({"problem": {"data_seed": -3}, "seeds": [0]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "problem.data_seed: must be >= 0, got -3" in capsys.readouterr().err
+    path.write_text(json.dumps({"seeds": [0]}))
+    assert main(["run", "--config", str(path), "--seed", "-1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == "config error: --seed: must be >= 0, got -1"
+    assert not (tmp_path / "out").exists()

@@ -378,6 +378,31 @@ def test_cli_run_and_plot_export_happy_path(tmp_path, capsys):
     assert (out / "plot_data.csv").exists()
 
 
+def test_plot_export_out_must_be_a_csv_path(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, CLI_BENCHMARK),
+                 "--out", str(out)]) == 0
+    with pytest.raises(SystemExit):
+        main(["plot-export", "--help"])
+    assert "path of the CSV file to write" in capsys.readouterr().out
+
+    assert main(["plot-export", "--run-dir", str(out), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: --out: {out} is a directory; plot-export --out "
+                   "is the path of the CSV file to write"]
+
+    missing = tmp_path / "absent" / "plot.csv"
+    assert main(["plot-export", "--run-dir", str(out), "--out", str(missing)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: --out: directory {missing.parent} of {missing} "
+                   "does not exist"]
+    assert not missing.parent.exists()
+
+    target = tmp_path / "plot.csv"
+    assert main(["plot-export", "--run-dir", str(out), "--out", str(target)]) == 0
+    assert target.read_text().startswith("seed,index,metric,value")
+
+
 def test_cli_seed_and_protocol_overrides(tmp_path):
     config_path = write_config(tmp_path, CLI_BENCHMARK)
     out = tmp_path / "out"

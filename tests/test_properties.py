@@ -1,6 +1,9 @@
 """Property tests: the array-native selection, batched model kernels and
-batched round against one-model-at-a-time reference code, bit for bit; and
-the shared-grid sliced-W1 against a CDF-integral reference, to 1e-12.
+batched round against one-model-at-a-time reference code, bit for bit; the
+consensus point and the particle step in their coordinate-major layout
+against the (n, dim) code they replaced, bit for bit, plus the consensus
+point's invariants; and the shared-grid sliced-W1 against a CDF-integral
+reference, to 1e-12.
 
 The reference functions below are copies of the per-agent code the batched
 paths replaced; they are kept here, not in the package, as the yardstick.
@@ -18,12 +21,14 @@ except ImportError:  # SciPy is a test extra; only the cross-check needs it
 
 from fedcbo import rng as rng_mod
 from fedcbo.diagnostics import make_projections, sliced_w1
+from fedcbo import sde
+from fedcbo.consensus import consensus_point
 from fedcbo.learners import (LogisticModel, MlpModel, ShardTask, ShardTasks,
                              local_sgd)
-from fedcbo.objectives import clamp_gradient
-from fedcbo.protocol import (LikelihoodMatrix, fedcbo_round, greedy_sample,
-                             local_aggregation)
-from fedcbo.sde import HyperParams, epsilon_for_round
+from fedcbo.objectives import clamp_gradient, make_centers_problem
+from fedcbo.protocol import (LikelihoodMatrix, _contract, fedcbo_round,
+                             greedy_sample, local_aggregation)
+from fedcbo.sde import HyperParams, ParticleCloud, em_step, epsilon_for_round
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -319,6 +324,185 @@ def test_batched_round_equals_serial_reference(n_agents, budget, include_self, b
                            rng_mod.stream(seed, rng_mod.ROUND))
     assert same_bits(generic[0], new_models)
     assert same_bits(generic[1].values, new_scores.values)
+
+
+# ---------------------------------------------------------------- consensus and particle step
+
+def reference_consensus_point(positions, losses, alpha):
+    """consensus_point's arithmetic on a C-ordered (n, dim) cloud, as it
+    was before the coordinate-major layout: (value, total weight)."""
+    shifted = losses - losses.min()
+    weights = np.exp(-alpha * shifted)
+    total = float(np.add.reduce(weights))
+    value = np.add.reduce(positions * weights[:, None], axis=0) / total
+    return np.clip(value, positions.min(axis=0), positions.max(axis=0)), total
+
+
+def reference_advance(positions, labels, problem, hp, noise):
+    """The per-cluster Euler update of an (n, dim) cloud with gathered
+    clusters; ``noise`` is an (n, 2, dim) block or None."""
+    g = hp.step_size
+    consensus = [reference_consensus_point(positions, o.losses(positions), hp.alpha)[0]
+                 for o in problem.objectives]
+    new = np.empty_like(positions)
+    for k, objective in enumerate(problem.objectives):
+        idx = np.flatnonzero(labels == k)
+        if idx.size == 0:
+            continue
+        theta = positions[idx]
+        to_consensus = theta - consensus[k]
+        grads = objective.gradients(theta)
+        drift = theta - hp.consensus_drift * g * to_consensus - hp.grad_drift * g * grads
+        if noise is None:
+            new[idx] = drift
+            continue
+        dist = np.linalg.norm(to_consensus, axis=1)
+        gnorm = np.linalg.norm(grads, axis=1)
+        new[idx] = (
+            drift
+            + hp.consensus_noise * np.sqrt(g) * dist[:, None] * noise[idx, 0]
+            + hp.grad_noise * np.sqrt(g) * gnorm[:, None] * noise[idx, 1]
+        )
+    return new
+
+
+def reference_em_step(positions, labels, streams, problem, hp):
+    noise = np.empty((len(streams), 2, positions.shape[1]))
+    for i, stream in enumerate(streams):
+        noise[i] = stream.standard_normal((2, positions.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return reference_advance(positions, labels, problem, hp, noise)
+
+
+def coordinates(draw, n, dim):
+    """An (n, dim) cloud with exact signed zeros, some whole columns of
+    them, so that clip bounds of either sign come up."""
+    values = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                                     st.floats(-10.0, 10.0)),
+                           min_size=n * dim, max_size=n * dim))
+    cloud = np.reshape(np.array(values, dtype=float), (n, dim))
+    for j in range(dim):
+        if draw(st.booleans()):
+            signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            cloud[:, j] = np.where(signs, -0.0, 0.0)
+    return cloud
+
+
+@st.composite
+def consensus_case(draw):
+    n, dim = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    losses = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n)))
+    alpha = draw(st.sampled_from([0.0, 0.5, 10.0, 100.0]))
+    return coordinates(draw, n, dim), losses, alpha
+
+
+@SETTINGS
+@given(consensus_case())
+def test_consensus_point_in_c_and_f_order_equals_reference(case):
+    positions, losses, alpha = case
+    want, total = reference_consensus_point(positions, losses, alpha)
+    for layout in (np.ascontiguousarray(positions), np.asfortranarray(positions)):
+        got = consensus_point(layout, losses, alpha)
+        assert same_bits(got.value, want)
+        assert got.total_weight == total
+
+
+@SETTINGS
+@given(consensus_case(), st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+       st.floats(-1000.0, 1000.0))
+def test_consensus_point_invariants(case, shift, loss_shift):
+    positions, losses, alpha = case
+    point = consensus_point(positions, losses, alpha)
+    shift = np.array(shift[:positions.shape[1]])
+    assert np.allclose(consensus_point(positions + shift, losses, alpha).value,
+                       point.value + shift, rtol=0.0, atol=1e-9)
+    assert np.allclose(consensus_point(positions, losses + loss_shift, alpha).value,
+                       point.value, rtol=0.0, atol=1e-9)
+    assert np.all(positions.min(axis=0) <= point.value)
+    assert np.all(point.value <= positions.max(axis=0))
+    assert 1.0 <= point.total_weight <= positions.shape[0]
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 4), st.data())
+def test_contract_equals_consensus_point_row_by_row(n_agents, k, dim, data):
+    stack = np.stack([coordinates(data.draw, k, dim) for _ in range(n_agents)])
+    own = stack[:, -1].copy()
+    losses = np.reshape(data.draw(st.lists(st.floats(0.0, 50.0), min_size=n_agents * k,
+                                           max_size=n_agents * k)), (n_agents, k))
+    hp = HyperParams(alpha=data.draw(st.sampled_from([0.5, 10.0, 100.0])),
+                     consensus_drift=data.draw(st.floats(0.0, 5.0)),
+                     step_size=data.draw(st.floats(0.01, 0.5)))
+    got = _contract(own, stack, losses, hp)
+    step = hp.consensus_drift * hp.step_size
+    for r in range(n_agents):
+        value = consensus_point(stack[r], losses[r], hp.alpha).value
+        assert same_bits(got[r], own[r] - step * (own[r] - value))
+
+
+@st.composite
+def step_case(draw):
+    dim, n_clusters = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=n_clusters, max_size=n_clusters)
+                 .filter(lambda s: sum(s) > 0))
+    labels = np.repeat(np.arange(n_clusters), sizes)
+    if draw(st.booleans()):  # interleaved: the clusters are gathered
+        labels = np.array(draw(st.permutations(list(labels))), dtype=int)
+    centers = [[draw(st.sampled_from([0.0, -1.5, 2.0])) for _ in range(dim)]
+               for _ in range(n_clusters)]
+    problem = make_centers_problem(draw(st.sampled_from(["quadratic", "rastrigin"])),
+                                   dim, centers)
+    noise = draw(st.sampled_from([0.0, 0.3]))
+    hp = HyperParams(consensus_drift=draw(st.floats(0.0, 5.0)),
+                     grad_drift=draw(st.floats(0.0, 2.0)),
+                     consensus_noise=noise, grad_noise=draw(st.sampled_from([0.0, 0.2])),
+                     alpha=draw(st.sampled_from([0.01, 1.0, 100.0])),
+                     step_size=draw(st.sampled_from([0.005, 0.1])))
+    positions = coordinates(draw, len(labels), dim)
+    return problem, positions, labels, hp, draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(step_case())
+def test_particle_step_equals_reference_bit_for_bit(case):
+    problem, positions, labels, hp, seed = case
+    streams = rng_mod.agent_streams(seed, len(labels))
+    cloud = ParticleCloud(positions=positions.copy(), labels=labels,
+                          streams=rng_mod.agent_streams(seed, len(labels)))
+    stepped = em_step(cloud, problem, hp)
+    assert same_bits(stepped.positions, reference_em_step(positions, labels, streams,
+                                                          problem, hp))
+    assert stepped.positions.flags.c_contiguous
+    assert same_position(cloud.streams, streams)
+
+    # The noiseless update run_sde takes when both noise amplitudes are 0.
+    clusters = sde._clusters(labels, problem.n_clusters)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = sde._step(np.ascontiguousarray(positions.T), labels, clusters, problem,
+                        hp, None, 1)
+        want = reference_advance(positions, labels, problem, hp, None)
+    assert same_bits(got.T, want)
+
+
+def test_em_step_on_interleaved_uneven_clusters_equals_reference():
+    # Clusters of 4, 1 and 2 particles in interleaved order take the gather
+    # path; dim 3 takes the C-ordered row copy.
+    labels = np.array([2, 0, 0, 1, 0, 2, 0])
+    clusters = sde._clusters(labels, 3)
+    assert all(isinstance(c, np.ndarray) for c in (clusters[0], clusters[2]))
+    problem = make_centers_problem("quadratic", 3, [[1.0, 0.0, -1.0], [0.0, 2.0, 0.0],
+                                                    [-2.0, -0.5, 1.0]])
+    hp = HyperParams(consensus_drift=2.0, grad_drift=0.5, consensus_noise=0.4,
+                     grad_noise=0.2, alpha=20.0, step_size=0.05)
+    positions = rng_mod.stream(3, rng_mod.INIT).standard_normal((7, 3)) * 2.0
+    streams = rng_mod.agent_streams(5, 7)
+    cloud = ParticleCloud(positions=positions.copy(), labels=labels,
+                          streams=rng_mod.agent_streams(5, 7))
+    for _ in range(3):
+        cloud = em_step(cloud, problem, hp)
+        positions = reference_em_step(positions, labels, streams, problem, hp)
+        assert same_bits(cloud.positions, positions)
+    assert same_position(cloud.streams, streams)
 
 
 # ---------------------------------------------------------------- sliced-W1

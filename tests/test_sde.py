@@ -4,6 +4,7 @@ behavior, step-size order, and divergence reporting."""
 import numpy as np
 import pytest
 
+from fedcbo import sde
 from fedcbo.errors import DivergenceError, InvalidParameterError
 from fedcbo.objectives import BenchmarkProblem, make_quadratic, make_well_problem
 from fedcbo.sde import (HyperParams, InitSpec, cluster_consensus,
@@ -92,6 +93,17 @@ def test_em_step_checks_dimensions():
         em_step(cloud, prob, HyperParams())
 
 
+def test_em_step_rejects_labels_outside_the_clusters():
+    # Such particles belong to no cluster, so no update would be written
+    # for them.
+    prob = make_well_problem("quadratic", 2)
+    cloud = make_cloud(prob, 2, InitSpec(), seed=0)
+    for bad in (2, -1):
+        cloud.labels = np.array([0, 1, bad, 0])
+        with pytest.raises(InvalidParameterError, match=f"particle 2 has label {bad}"):
+            em_step(cloud, prob, HyperParams())
+
+
 def test_run_sde_matches_repeated_em_steps_bitwise():
     prob = make_well_problem("quadratic", 2)
     hp = HyperParams(consensus_drift=1.0, grad_drift=0.3, consensus_noise=0.4,
@@ -114,17 +126,55 @@ def test_noiseless_run_matches_em_steps_bitwise():
     assert np.array_equal(result.final_positions, cloud.positions)
 
 
-def test_long_runs_cross_noise_chunk_boundary_consistently():
-    # 300 steps crosses the 256-step pre-draw block; stream alignment with
-    # single stepping has to survive the boundary.
+def test_long_runs_cross_noise_chunk_boundary_consistently(monkeypatch):
+    # With the budget scaled to 120-step pre-draw blocks of 3 particles in
+    # 1-D, the run length of two and a half blocks crosses two block
+    # boundaries and ends on a partial block; stream alignment with single
+    # stepping has to survive them.
+    monkeypatch.setattr(sde, "NOISE_DOUBLES", 120 * 2 * 1 * 3)
+    block = sde.NOISE_DOUBLES // (2 * 1 * 3)
+    t_steps = 2 * block + block // 2
     prob = single_well(1)
     hp = HyperParams(consensus_drift=0.5, consensus_noise=0.3, alpha=5.0,
                      step_size=0.01)
-    result = run_sde(prob, 3, hp, 300, init=InitSpec(), seed=2, record_every=300)
+    result = run_sde(prob, 3, hp, t_steps, init=InitSpec(), seed=2,
+                     record_every=t_steps)
     cloud = make_cloud(prob, 3, InitSpec(), seed=2)
-    for _ in range(300):
+    for _ in range(t_steps):
         cloud = em_step(cloud, prob, hp)
     assert np.array_equal(result.final_positions, cloud.positions)
+
+
+@pytest.mark.parametrize("budget, blocks", [
+    (1, [1] * 7),                    # below one step: one step per block
+    (2 * 2 * 10 * 3, [3, 3, 1]),      # three steps per block, partial last
+    (sde.NOISE_DOUBLES, [7]),         # capped at the steps left
+])
+def test_noise_blocks_stay_within_the_budget(monkeypatch, budget, blocks):
+    monkeypatch.setattr(sde, "NOISE_DOUBLES", budget)
+    shapes = []
+    draw = sde._draw_noise
+
+    def spy(streams, out):
+        shapes.append(out.shape)
+        return draw(streams, out)
+
+    monkeypatch.setattr(sde, "_draw_noise", spy)
+    prob = make_well_problem("quadratic", 2)
+    hp = HyperParams(consensus_noise=0.2, alpha=10.0, step_size=0.01)
+    result = run_sde(prob, 5, hp, 7, seed=1)
+    assert [s[0] for s in shapes] == blocks
+    assert all(s[1:] == (2, 2, 10) for s in shapes)
+    cloud = make_cloud(prob, 5, InitSpec(), seed=1)
+    for _ in range(7):
+        cloud = em_step(cloud, prob, hp)
+    assert np.array_equal(result.final_positions, cloud.positions)
+
+
+def test_noiseless_run_draws_no_noise(monkeypatch):
+    monkeypatch.setattr(sde, "_draw_noise", None)
+    hp = HyperParams(consensus_drift=1.0, grad_drift=0.5, alpha=10.0, step_size=0.01)
+    assert run_sde(make_well_problem("quadratic", 2), 4, hp, 3, seed=0).steps[-1] == 3
 
 
 def test_consensus_only_decay_rate_is_twice_the_drift():
