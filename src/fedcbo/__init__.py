@@ -4,15 +4,15 @@ __version__ = "0.1.0"
 
 from .consensus import ConsensusPoint, consensus_point, consensus_point_for_agent
 from .errors import ConfigError, DivergenceError, InvalidParameterError
-from .objectives import (BenchmarkProblem, Objective, clamp_gradient,
-                         make_quadratic, make_rastrigin, make_well_problem)
+from .objectives import (BenchmarkProblem, Objective, make_quadratic,
+                         make_rastrigin, make_well_problem)
 from .sde import (HyperParams, InitSpec, ParticleCloud, decay_exponent_fit,
                   em_step, epsilon_for_round, make_cloud, run_sde)
 
 __all__ = [
     "BenchmarkProblem", "ConfigError", "ConsensusPoint", "DivergenceError",
     "HyperParams", "InitSpec", "InvalidParameterError", "Objective",
-    "ParticleCloud", "clamp_gradient", "consensus_point",
+    "ParticleCloud", "consensus_point",
     "consensus_point_for_agent", "decay_exponent_fit", "em_step",
     "epsilon_for_round", "make_cloud", "make_quadratic", "make_rastrigin",
     "make_well_problem", "run_sde",

@@ -1,9 +1,9 @@
 """Reference protocols run under the same compute budget as the main one.
 
 All three use the same local-training rule as the main protocol
-(learners.train_agents: local_steps steps at rate grad_drift * step_size,
-batched over agents for stacked shards), so a comparison at equal rounds is
-a comparison at equal gradient work.
+(``tasks.train``: local_steps steps at rate grad_drift * step_size, batched
+over agents), so a comparison at equal rounds is a comparison at equal
+gradient work.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidParameterError
-from .learners import candidate_losses, train_agents
 
 
 def _check_finite(models, who):
@@ -23,8 +22,8 @@ def fedavg_round(global_model, tasks, hp, streams):
     """Every agent trains from the shared global model; uniform average."""
     rate = hp.grad_drift * hp.step_size
     n_agents = len(tasks)
-    locals_ = train_agents(tasks, np.tile(global_model, (n_agents, 1)),
-                           np.arange(n_agents), hp.local_steps, rate, streams)
+    locals_ = tasks.train(np.tile(global_model, (n_agents, 1)), np.arange(n_agents),
+                          hp.local_steps, rate, streams)
     new_global = locals_.mean(axis=0)
     _check_finite(new_global, "fedavg")
     return new_global
@@ -50,12 +49,12 @@ def ifca_round(server_models, tasks, hp, streams):
     rate = hp.grad_drift * hp.step_size
 
     agents = np.arange(len(tasks))
-    model_losses = candidate_losses(
-        tasks, agents, np.broadcast_to(server_models, (len(tasks),) + server_models.shape))
+    model_losses = tasks.losses(
+        agents, np.broadcast_to(server_models, (len(tasks),) + server_models.shape))
     assignments = np.argmin(model_losses, axis=1)  # argmin takes the first = lowest id
     losses = model_losses[agents, assignments]
-    updates = train_agents(tasks, server_models[assignments], agents, hp.local_steps,
-                           rate, streams)
+    updates = tasks.train(server_models[assignments], agents, hp.local_steps, rate,
+                          streams)
 
     new_models = server_models.copy()
     for m in range(n_models):
@@ -70,7 +69,7 @@ def ifca_round(server_models, tasks, hp, streams):
 def local_only_round(models, tasks, hp, streams):
     """Every agent trains alone; no communication at all."""
     rate = hp.grad_drift * hp.step_size
-    new_models = train_agents(tasks, models, np.arange(len(tasks)), hp.local_steps,
-                              rate, streams)
+    new_models = tasks.train(models, np.arange(len(tasks)), hp.local_steps, rate,
+                             streams)
     _check_finite(new_models, "local")
     return new_models

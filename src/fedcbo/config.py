@@ -220,6 +220,7 @@ def resolve_config(raw):
     _validate_problem(problem, problems)
     _validate_hyperparams(hyperparams, problems)
     _validate_schedule(schedule, problems)
+    _validate_peer_only(problem, hyperparams, schedule, problems)
     if not isinstance(output.get("dir"), str) or not output["dir"]:
         problems.append("output.dir: expected a nonempty string")
 
@@ -235,8 +236,13 @@ def _validate_problem(problem, problems):
     if problem["kind"] == "learner":
         if problem["model"] not in ("mlp", "logistic"):
             problems.append(f"problem.model: must be 'mlp' or 'logistic', got {problem['model']!r}")
-        for key in ("hidden", "n_clusters", "n_agents", "n_per_agent", "n_classes", "n_test"):
+        if problem["activation"] not in ("tanh", "relu"):
+            problems.append("problem.activation: must be 'tanh' or 'relu', "
+                            f"got {problem['activation']!r}")
+        for key in ("hidden", "n_clusters", "n_agents", "n_per_agent", "n_test"):
             _require_number("problem", key, problem[key], problems, minimum=1, integer=True)
+        _require_number("problem", "n_classes", problem["n_classes"], problems,
+                        minimum=2, integer=True)
         _require_number("problem", "input_dim", problem["input_dim"], problems,
                         minimum=2, integer=True)
         for key in ("radius", "blob_std"):
@@ -302,6 +308,32 @@ def _validate_hyperparams(hp, problems):
     if hp["batch_size"] is not None:
         _require_number("hyperparams", "batch_size", hp["batch_size"], problems,
                         minimum=1, integer=True)
+    if not isinstance(hp["include_self"], bool):
+        problems.append(f"hyperparams.include_self: expected true or false, "
+                        f"got {hp['include_self']!r}")
+
+
+def _validate_peer_only(problem, hp, schedule, problems):
+    """Without its own model an agent aggregates its downloads alone, so it
+    needs a download budget and at least one other agent in every round."""
+    if hp["include_self"] is not False:
+        return
+    if hp["download_budget"] == 0:
+        problems.append("hyperparams.include_self: false needs "
+                        "hyperparams.download_budget >= 1, got 0")
+    if problem["kind"] == "learner":
+        n_agents = problem["n_agents"]
+    else:
+        n_agents, centers = problem["n_per_cluster"], problem["centers"]
+        if _is_finite_number(n_agents):
+            n_agents *= len(centers) if isinstance(centers, list) and centers else 2
+    p = schedule["participation"]
+    if _is_finite_number(n_agents) and n_agents >= 1 and _is_finite_number(p) and 0 < p <= 1:
+        per_round = max(1, math.floor(p * n_agents + 0.5))
+        if per_round < 2:
+            problems.append(f"hyperparams.include_self: false needs at least 2 agents in "
+                            f"each round; schedule.participation {p} of {n_agents} agents "
+                            f"gives {per_round}")
 
 
 def _warn_on_overshoot(hp):

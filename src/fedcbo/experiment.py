@@ -33,11 +33,10 @@ from . import rng as rng_mod
 from .baselines import fedavg_round, ifca_round, local_only_round
 from .diagnostics import write_csv
 from .errors import ConfigError
-from .learners import (ShardTasks, accuracy, agent_blocks, candidate_losses,
+from .learners import (ObjectiveTasks, ShardTasks, accuracy, agent_blocks,
                        generate_clustered_data, make_model)
 from .objectives import make_centers_problem, make_well_problem
-from .protocol import (LikelihoodMatrix, ObjectiveTask, fedcbo_round,
-                       oracle_sr, selection_ratio)
+from .protocol import fedcbo_round, oracle_sr, selection_ratio
 from .sde import cluster_variances, decay_exponent_fit, run_sde
 from .diagnostics import meanfield_scan, theoretical_rate
 
@@ -48,7 +47,7 @@ log = logging.getLogger(__name__)
 class ProblemSetup:
     """Everything a protocol loop needs, plus hidden labels for scoring."""
 
-    tasks: list
+    tasks: object                  # learners.ShardTasks or ObjectiveTasks
     initial_models: np.ndarray
     agent_cluster: np.ndarray
     n_clusters: int
@@ -78,8 +77,8 @@ def build_setup(config, seed):
         bench = build_benchmark(problem)
         n_agents = problem["n_per_cluster"] * bench.n_clusters
         labels = np.arange(n_agents) % bench.n_clusters
-        tasks = [ObjectiveTask(bench.objectives[int(k)], momentum=hp.momentum)
-                 for k in labels]
+        tasks = ObjectiveTasks([bench.objectives[k] for k in labels],
+                               momentum=hp.momentum)
         setup = ProblemSetup(tasks=tasks, initial_models=None, agent_cluster=labels,
                              n_clusters=bench.n_clusters, benchmark=bench)
     else:
@@ -159,7 +158,7 @@ def _base_record(round_index, n_participants):
 
 def _mean_own_loss(setup, models):
     """Mean over agents of the loss of models[j] (a row) on agent j's data."""
-    losses = candidate_losses(setup.tasks, np.arange(setup.n_agents), models[:, None])
+    losses = setup.tasks.losses(np.arange(setup.n_agents), models[:, None])
     return float(np.mean(losses[:, 0]))
 
 
@@ -170,7 +169,7 @@ def _mean_own_loss(setup, models):
 
 def _fedcbo_rounds(config, setup, seed, hp, streams, counters):
     models = setup.initial_models.copy()
-    scores = LikelihoodMatrix(setup.n_agents)
+    scores = np.zeros((setup.n_agents, setup.n_agents))
     round_rng = rng_mod.stream(seed, rng_mod.ROUND)
     cluster_size = setup.n_agents / setup.n_clusters
     for n in range(config.schedule["rounds"]):

@@ -11,14 +11,13 @@ explicit backprop; parameters travel as flat vectors so the consensus
 machinery can treat them as points in R^d.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rng_mod
 from .errors import InvalidParameterError
-from .objectives import DEFAULT_GRAD_BOUND
+from .objectives import DEFAULT_GRAD_BOUND, _clamp_rows
 
 
 def _softmax(logits):
@@ -193,21 +192,6 @@ def accuracy(model, theta, x, y):
     return np.mean(predict(model, theta, x) == y, axis=-1)
 
 
-def _clamp_each(grads, bound):
-    """``clamp_gradient`` applied to every row of ``grads`` in place.
-
-    Row norms come from the same BLAS dot product ``np.linalg.norm`` uses on
-    a single vector, so the result matches clamping row by row bit for bit.
-    """
-    if bound <= 0:
-        raise InvalidParameterError(f"gradient bound must be positive, got {bound}")
-    norms = np.sqrt([g.dot(g) for g in grads])
-    over = ~(norms <= bound)
-    if over.any():
-        grads[over] *= (bound / norms[over])[:, None]
-    return grads
-
-
 def local_sgd(model, thetas, x, y, steps, rate, streams, batch_size=None,
               momentum=0.0, grad_bound=DEFAULT_GRAD_BOUND):
     """``steps`` clamped momentum-SGD steps of every model in ``thetas``.
@@ -231,7 +215,7 @@ def local_sgd(model, thetas, x, y, steps, rate, streams, batch_size=None,
         else:
             xb, yb = x, y
         _, g = model.loss_grad(thetas, xb, yb)
-        g = _clamp_each(g, grad_bound)
+        g = _clamp_rows(g, grad_bound)
         velocity = momentum * velocity + g
         thetas = thetas - rate * velocity
     return thetas
@@ -277,28 +261,18 @@ def agent_blocks(n_agents, per_agent):
     return [slice(i, i + size) for i in range(0, n_agents, size)]
 
 
-class ShardTasks(Sequence):
-    """Every agent's ShardTask over shards stacked as x (A, n, d), y (A, n).
-
-    Indexing gives the per-agent ShardTask (a view of its shard).
-    ``train_agents`` and ``candidate_losses`` recognise this type and run
-    the batched kernels over blocks of agents instead of one agent at a
-    time; the results are the same bit for bit.
-    """
+class ShardTasks:
+    """Every agent's local training and loss over shards stacked as
+    x (A, n, d), y (A, n): the batched kernels over blocks of agents, equal
+    bit for bit to each agent's ShardTask."""
 
     def __init__(self, model, x, y, batch_size=None, momentum=0.0,
                  grad_bound=DEFAULT_GRAD_BOUND):
         self.model, self.x, self.y = model, x, y
         self.batch_size, self.momentum, self.grad_bound = batch_size, momentum, grad_bound
-        self._tasks = [ShardTask(model, x[j], y[j], batch_size=batch_size,
-                                 momentum=momentum, grad_bound=grad_bound)
-                       for j in range(len(x))]
-
-    def __getitem__(self, j):
-        return self._tasks[j]
 
     def __len__(self):
-        return len(self._tasks)
+        return len(self.x)
 
     def train(self, thetas, agents, steps, rate, streams):
         """Train agents[r] from thetas[r] on its own shard and stream."""
@@ -322,35 +296,51 @@ class ShardTasks(Sequence):
         return out
 
 
-def train_agents(tasks, thetas, agents, steps, rate, streams):
-    """Local training of ``agents``; ``thetas`` holds their starting models
-    row by row.  Returns the trained rows.  ShardTasks train in batched
-    blocks, any other task list one agent at a time."""
-    agents = np.asarray(agents, dtype=int)
-    if isinstance(tasks, ShardTasks):
-        return tasks.train(thetas, agents, steps, rate, streams)
-    out = np.empty_like(thetas, dtype=float)
-    for r, j in enumerate(agents):
-        try:
-            out[r] = tasks[j].train(thetas[r], steps, rate, streams[j])
-        except Exception as exc:
-            raise RuntimeError(f"local update failed for agent {j}") from exc
-    return out
+class ObjectiveTasks:
+    """Every agent's analytic objective (``objectives[j]`` is agent j's),
+    with the interface of ShardTasks.
 
+    ``train`` is plain momentum gradient descent and never touches a
+    stream, so runs are deterministic given the initial models.  Agents
+    that share an objective are batched through its ``gradients`` and
+    ``losses``, the calls ``run_sde`` makes; every row equals its
+    batch-of-one result bit for bit.
+    """
 
-def candidate_losses(tasks, agents, candidates):
-    """losses[r, c] = tasks[agents[r]].loss(candidates[r, c]) for candidate
-    models (b, k, n_params); batched for ShardTasks."""
-    agents = np.asarray(agents, dtype=int)
-    if isinstance(tasks, ShardTasks):
-        return tasks.losses(agents, candidates)
-    out = np.empty(candidates.shape[:2])
-    for r, j in enumerate(agents):
-        try:
-            out[r] = [tasks[j].loss(theta) for theta in candidates[r]]
-        except Exception as exc:
-            raise RuntimeError(f"loss evaluation failed for agent {j}") from exc
-    return out
+    def __init__(self, objectives, momentum=0.0):
+        self.objectives = list(objectives)
+        self.momentum = momentum
+
+    def __len__(self):
+        return len(self.objectives)
+
+    def _rows(self, agents):
+        """(objective, the rows r whose agents[r] has it), per distinct objective."""
+        keys = np.array([id(self.objectives[j]) for j in agents])
+        for key in np.unique(keys):
+            rows = np.flatnonzero(keys == key)
+            yield self.objectives[agents[rows[0]]], rows
+
+    def train(self, thetas, agents, steps, rate, streams):
+        """``steps`` descent steps of agents[r] from thetas[r]; returns the
+        trained rows.  The momentum buffer is local to the call."""
+        out = np.array(thetas, dtype=float)
+        for objective, rows in self._rows(agents):
+            theta, velocity = out[rows], np.zeros((len(rows), out.shape[1]))
+            for _ in range(steps):
+                velocity = self.momentum * velocity + objective.gradients(theta)
+                theta = theta - rate * velocity
+            out[rows] = theta
+        return out
+
+    def losses(self, agents, candidates):
+        """Loss of candidates[r, c] (a point) under agents[r]'s objective, (b, k)."""
+        b, k, dim = candidates.shape
+        out = np.empty((b, k))
+        for objective, rows in self._rows(agents):
+            points = candidates[rows].reshape(-1, dim)
+            out[rows] = objective.losses(points).reshape(len(rows), k)
+        return out
 
 
 @dataclass

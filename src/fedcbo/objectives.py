@@ -17,62 +17,47 @@ from .errors import InvalidParameterError
 DEFAULT_GRAD_BOUND = 1e3
 
 
-def clamp_gradient(raw, bound):
-    """Rescale ``raw`` onto the ball of radius ``bound`` if it sticks out.
-
-    Direction is preserved; vectors already inside the ball pass through
-    unchanged.
-    """
+def _clamp_rows(grads, bound):
+    """Rescale every row of ``grads`` (n, dim) that sticks out of the ball of
+    radius ``bound`` onto it, direction preserved; rows inside pass through
+    unchanged, and with no row outside ``grads`` itself is returned.  A row's
+    result does not depend on the other rows."""
     if bound <= 0:
         raise InvalidParameterError(f"gradient bound must be positive, got {bound}")
-    raw = np.asarray(raw, dtype=float)
-    norm = float(np.linalg.norm(raw))
-    if norm <= bound:
-        return raw
-    return raw * (bound / norm)
-
-
-def _clamp_rows(grads, bound):
-    # Row-wise version of clamp_gradient for batched evaluation.
     norms = np.linalg.norm(grads, axis=1)
-    factor = np.where(norms > bound, bound / np.maximum(norms, 1e-300), 1.0)
-    return grads * factor[:, None]
+    over = norms > bound
+    if not over.any():
+        # Local training clamps every step and the clamp rarely fires; a
+        # full-size product here would cost an allocation and its page faults.
+        return grads
+    return grads * np.where(over, bound / np.maximum(norms, 1e-300), 1.0)[:, None]
 
 
 @dataclass(frozen=True)
 class Objective:
     """A differentiable loss with optional optimum metadata.
 
-    ``eval``/``grad`` act on a single parameter vector; ``eval_many`` and
-    ``grad_many`` act on an (n, dim) batch and exist so the particle loop
-    stays vectorized.
+    ``eval_many`` and ``grad_many`` act on an (n, dim) batch, one row per
+    point; a single point is the batch-of-one case, bit for bit.
     """
 
     dim: int
-    eval: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    eval_many: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    grad_many: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     minimizer: Optional[np.ndarray] = None
     min_value: Optional[float] = None
     grad_bound: float = DEFAULT_GRAD_BOUND
     grad_lipschitz: Optional[float] = None
     clamp_free_radius: Optional[float] = None
     name: str = ""
-    eval_many: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
-    grad_many: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def losses(self, positions):
         """Evaluate on every row of an (n, dim) array."""
-        positions = np.asarray(positions, dtype=float)
-        if self.eval_many is not None:
-            return self.eval_many(positions)
-        return np.array([self.eval(p) for p in positions])
+        return self.eval_many(np.asarray(positions, dtype=float))
 
     def gradients(self, positions):
         """Clamped gradient at every row of an (n, dim) array."""
-        positions = np.asarray(positions, dtype=float)
-        if self.grad_many is not None:
-            return self.grad_many(positions)
-        return np.array([self.grad(p) for p in positions])
+        return self.grad_many(np.asarray(positions, dtype=float))
 
 
 def _check_center(dim, center):
@@ -92,14 +77,6 @@ def make_quadratic(dim, center, scale=1.0, grad_bound=DEFAULT_GRAD_BOUND):
     if scale <= 0:
         raise InvalidParameterError(f"scale must be positive, got {scale}")
 
-    def _eval(theta):
-        d = np.asarray(theta, dtype=float) - center
-        return float(scale * np.dot(d, d))
-
-    def _grad(theta):
-        d = np.asarray(theta, dtype=float) - center
-        return clamp_gradient(2.0 * scale * d, grad_bound)
-
     def _eval_many(positions):
         d = positions - center
         return scale * np.einsum("ij,ij->i", d, d)
@@ -109,30 +86,20 @@ def make_quadratic(dim, center, scale=1.0, grad_bound=DEFAULT_GRAD_BOUND):
 
     return Objective(
         dim=dim,
-        eval=_eval,
-        grad=_grad,
+        eval_many=_eval_many,
+        grad_many=_grad_many,
         minimizer=center,
         min_value=0.0,
         grad_bound=grad_bound,
         grad_lipschitz=2.0 * scale,
         clamp_free_radius=grad_bound / (2.0 * scale),
         name=f"quadratic(scale={scale})",
-        eval_many=_eval_many,
-        grad_many=_grad_many,
     )
 
 
 def make_rastrigin(dim, center, grad_bound=DEFAULT_GRAD_BOUND):
     """Shifted Rastrigin: 10*dim + sum((x_i)^2 - 10*cos(2*pi*x_i)), x = theta - center."""
     center = _check_center(dim, center)
-
-    def _eval(theta):
-        x = np.asarray(theta, dtype=float) - center
-        return float(10.0 * dim + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
-
-    def _grad(theta):
-        x = np.asarray(theta, dtype=float) - center
-        return clamp_gradient(2.0 * x + 20.0 * np.pi * np.sin(2.0 * np.pi * x), grad_bound)
 
     def _eval_many(positions):
         x = positions - center
@@ -147,16 +114,14 @@ def make_rastrigin(dim, center, grad_bound=DEFAULT_GRAD_BOUND):
     radius = max(0.0, (grad_bound / np.sqrt(dim) - 20.0 * np.pi) / 2.0)
     return Objective(
         dim=dim,
-        eval=_eval,
-        grad=_grad,
+        eval_many=_eval_many,
+        grad_many=_grad_many,
         minimizer=center,
         min_value=0.0,
         grad_bound=grad_bound,
         grad_lipschitz=2.0 + 40.0 * np.pi**2,
         clamp_free_radius=radius,
         name="rastrigin",
-        eval_many=_eval_many,
-        grad_many=_grad_many,
     )
 
 

@@ -18,79 +18,10 @@ import numpy as np
 
 from .consensus import consensus_point_for_agent
 from .errors import DivergenceError, InvalidParameterError
-from .learners import agent_blocks, candidate_losses, train_agents
+from .learners import agent_blocks
 from .sde import epsilon_for_round
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ObjectiveTask:
-    """Protocol-facing wrapper for an analytic objective.
-
-    ``train`` is plain gradient descent; it never touches the rng, so runs
-    over analytic tasks are deterministic given initial models.
-    """
-
-    objective: object
-    momentum: float = 0.0
-
-    def loss(self, theta):
-        return self.objective.eval(np.asarray(theta, dtype=float))
-
-    def train(self, theta, steps, rate, rng):
-        theta = np.asarray(theta, dtype=float).copy()
-        velocity = np.zeros_like(theta)
-        for _ in range(steps):
-            g = self.objective.grad(theta)
-            velocity = self.momentum * velocity + g
-            theta = theta - rate * velocity
-        return theta
-
-
-class LikelihoodMatrix:
-    """Accumulated evidence that peer i shares agent j's distribution.
-
-    ``values`` is a plain (A, A) array: row j holds one score per peer
-    i != j; the self entry is never read or written.  Scores start at zero
-    and accumulate (own loss - peer loss) each time a peer's model is
-    evaluated, so peers whose models do well on j's data rise in the
-    ranking.
-    """
-
-    def __init__(self, n_agents):
-        if n_agents < 1:
-            raise InvalidParameterError("n_agents must be >= 1")
-        self.n_agents = n_agents
-        self.values = np.zeros((n_agents, n_agents))
-
-    def _check(self, j, i):
-        i = np.asarray(i)
-        if not 0 <= j < self.n_agents or np.any((i < 0) | (i >= self.n_agents)):
-            raise InvalidParameterError(f"agent index out of range: ({j}, {i})")
-        if np.any(i == j):
-            raise InvalidParameterError(f"agent {j} has no likelihood entry for itself")
-
-    def score(self, j, i):
-        self._check(j, i)
-        return float(self.values[j, i])
-
-    def add(self, j, i, delta):
-        """Add ``delta`` to entry (j, i); ``i`` may be an array of distinct
-        ids with one delta each."""
-        self._check(j, i)
-        self.values[j, i] += delta
-
-    def row(self, j, candidates):
-        """Scores of ``candidates`` in j's row, candidate order preserved."""
-        candidates = np.asarray(candidates, dtype=int)
-        self._check(j, candidates)
-        return self.values[j, candidates]
-
-    def copy(self):
-        out = LikelihoodMatrix(self.n_agents)
-        out.values = self.values.copy()
-        return out
 
 
 def _round_half_up(x):
@@ -101,10 +32,10 @@ def greedy_sample(scores, own_id, participants, budget, eps, rng):
     """Two-stage epsilon-greedy selection of ``budget`` peers.
 
     An exploration block of round-half-up(eps * budget) peers is drawn
-    uniformly without replacement; the rest are the top-scoring remaining
-    peers (``scores``: LikelihoodMatrix or row lookup), ties broken toward
-    the lower agent id.  A budget larger than the available peers is
-    clamped; ``fedcbo_round`` counts the clamps.  Returns a sorted id list.
+    uniformly without replacement; the rest are the peers with the highest
+    ``scores[own_id, peer]``, ties broken toward the lower agent id.  A
+    budget larger than the available peers is clamped; ``fedcbo_round``
+    counts the clamps.  Returns a sorted id list.
     """
     if not 0.0 <= eps <= 1.0:
         raise InvalidParameterError(f"eps must be in [0, 1], got {eps}")
@@ -124,7 +55,7 @@ def greedy_sample(scores, own_id, participants, budget, eps, rng):
     n_exploit = budget - n_explore
     if n_exploit:
         remaining = np.flatnonzero(~picked)
-        row = scores.row(own_id, peers[remaining])
+        row = scores[own_id, peers[remaining]]
         order = np.lexsort((peers[remaining], -row))
         picked[remaining[order[:n_exploit]]] = True
     return peers[picked].tolist()
@@ -234,7 +165,7 @@ def _aggregate_block(agents, candidates, stack, losses, hp, scores, dropped):
     fast &= k > 0
     new = np.empty_like(own)
     new[fast] = _contract(own[fast], stack[fast, :k], losses[fast, :k], hp)
-    scores.values[agents[fast, None], peer_ids[fast]] += own_loss[fast, None] - peer_losses[fast]
+    scores[agents[fast, None], peer_ids[fast]] += own_loss[fast, None] - peer_losses[fast]
 
     diverged = fast & ~np.isfinite(new).all(axis=1)
     first = int(np.argmax(diverged)) if diverged.any() else len(agents)
@@ -252,7 +183,7 @@ def _aggregate_block(agents, candidates, stack, losses, hp, scores, dropped):
         if not cols.any():
             raise RuntimeError(f"aggregation failed for agent {j}: no usable models")
         new[r] = _contract(own[r:r + 1], stack[r:r + 1, cols], losses[r:r + 1, cols], hp)[0]
-        scores.values[j, peer_ids[r, keep]] += own_loss[r] - peer_losses[r, keep]
+        scores[j, peer_ids[r, keep]] += own_loss[r] - peer_losses[r, keep]
         if not np.isfinite(new[r]).all():
             first = r
     return new, first
@@ -269,10 +200,12 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
     """Advance every participating agent by one full round.
 
     ``models`` is the (n_agents, dim) array of current models; ``tasks``
-    the per-agent task list (learners.ShardTasks takes the batched path);
-    ``scores`` the shared LikelihoodMatrix.  Per-agent randomness
-    (mini-batches, selection) comes from ``streams``; ``round_rng`` only
-    picks the participant set.
+    the agents' batched tasks (learners.ShardTasks or ObjectiveTasks);
+    ``scores`` the (n_agents, n_agents) likelihood scores: row j holds the
+    accumulated evidence (own loss - peer loss on j's data) that each peer
+    shares agent j's distribution, and the diagonal is never read or
+    written.  Per-agent randomness (mini-batches, selection) comes from
+    ``streams``; ``round_rng`` only picks the participant set.
 
     Returns (new_models, new_scores, RoundLog).  The input state is never
     mutated: any per-agent failure aborts the round atomically, and a
@@ -280,8 +213,8 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
     (``index``).
     """
     n_agents = len(tasks)
-    if models.shape[0] != n_agents:
-        raise InvalidParameterError("models and tasks disagree on agent count")
+    if models.shape[0] != n_agents or scores.shape != (n_agents, n_agents):
+        raise InvalidParameterError("models, scores and tasks disagree on agent count")
     if not 0.0 < participation <= 1.0:
         raise InvalidParameterError(f"participation must be in (0, 1], got {participation}")
 
@@ -298,8 +231,8 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
 
     # Phase 1: local updates, each agent on its own stream.
     updated = models.copy()
-    updated[participants] = train_agents(tasks, models[participants], participants,
-                                         hp.local_steps, rate, streams)
+    updated[participants] = tasks.train(models[participants], participants,
+                                        hp.local_steps, rate, streams)
     bad = ~np.isfinite(updated[participants]).all(axis=1)
     if bad.any():
         raise _divergence(round_index, int(participants[np.argmax(bad)]), "local update")
@@ -318,7 +251,7 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
     for block in agent_blocks(len(participants), candidates.shape[1] * models.shape[1]):
         agents = participants[block]
         stack = updated[candidates[block]]
-        losses = candidate_losses(tasks, agents, stack)
+        losses = tasks.losses(agents, stack)
         new, first = _aggregate_block(agents, candidates[block], stack, losses, hp,
                                       new_scores, dropped)
         if first < len(agents):

@@ -24,9 +24,10 @@ from fedcbo.config import resolve_config
 from fedcbo.consensus import consensus_point
 from fedcbo.diagnostics import meanfield_scan, theoretical_rate
 from fedcbo.experiment import compare_protocols, run_protocol
+from fedcbo.learners import ObjectiveTasks
 from fedcbo.objectives import (BenchmarkProblem, make_quadratic,
                                make_well_problem)
-from fedcbo.protocol import (LikelihoodMatrix, ObjectiveTask, fedcbo_round)
+from fedcbo.protocol import fedcbo_round
 from fedcbo.sde import (HyperParams, InitSpec, ParticleCloud,
                         decay_exponent_fit, em_step, run_sde)
 
@@ -246,8 +247,8 @@ def _one_round_vs_one_step(step_size):
                      step_size=step_size, local_steps=1,
                      download_budget=n_agents - 1)
 
-    tasks = [ObjectiveTask(problem.objectives[0]) for _ in range(n_agents)]
-    scores = LikelihoodMatrix(n_agents)
+    tasks = ObjectiveTasks([problem.objectives[0]] * n_agents)
+    scores = np.zeros((n_agents, n_agents))
     new_models, _, _ = fedcbo_round(models.copy(), tasks, scores, hp, 0,
                                     rng_mod.agent_streams(99, n_agents))
 

@@ -6,8 +6,8 @@ import pytest
 
 from fedcbo import rng as rng_mod
 from fedcbo.errors import DivergenceError, InvalidParameterError
+from fedcbo.learners import ObjectiveTasks
 from fedcbo.objectives import make_quadratic
-from fedcbo.protocol import ObjectiveTask
 from fedcbo.sde import HyperParams
 
 
@@ -22,8 +22,8 @@ def hp_with(**kwargs):
 
 
 def symmetric_tasks(offset=2.0):
-    return [ObjectiveTask(make_quadratic(1, np.array([offset]))),
-            ObjectiveTask(make_quadratic(1, np.array([-offset])))]
+    return ObjectiveTasks([make_quadratic(1, np.array([offset])),
+                           make_quadratic(1, np.array([-offset]))])
 
 
 def test_fedavg_is_the_uniform_mean_of_local_updates():
@@ -62,15 +62,15 @@ def test_ifca_assigns_each_agent_to_its_best_model():
 
 
 def test_ifca_ties_go_to_the_lower_model_id():
-    task = ObjectiveTask(make_quadratic(1, np.zeros(1)))
+    tasks = ObjectiveTasks([make_quadratic(1, np.zeros(1))])
     server = np.array([[1.0], [-1.0]])  # equal loss from the task's view
-    result = ifca_round(server, [task], hp_with(local_steps=0),
+    result = ifca_round(server, tasks, hp_with(local_steps=0),
                         rng_mod.agent_streams(0, 1))
     assert result.assignments[0] == 0
 
 
 def test_ifca_unadopted_models_persist_unchanged():
-    tasks = [ObjectiveTask(make_quadratic(1, np.array([2.0])))]
+    tasks = ObjectiveTasks([make_quadratic(1, np.array([2.0]))])
     server = np.array([[1.9], [50.0]])
     result = ifca_round(server, tasks, hp_with(), rng_mod.agent_streams(0, 1))
     assert result.assignments[0] == 0
@@ -99,24 +99,26 @@ def test_local_only_trains_each_agent_independently():
     hp = hp_with()
     models = np.array([[0.0], [0.0]])
     out = local_only_round(models, tasks, hp, streams)
+    # Each well alone: 0 - 0.1*2*(0-2) = 0.4 and 0 - 0.1*2*(0+2) = -0.4
     expected = np.array([
-        tasks[0].train(np.array([0.0]), 1, 0.1, None),
-        tasks[1].train(np.array([0.0]), 1, 0.1, None),
+        ObjectiveTasks([tasks.objectives[j]]).train(np.array([[0.0]]), np.array([0]), 1,
+                                                    0.1, None)[0]
+        for j in range(2)
     ])
+    assert np.allclose(expected, [[0.4], [-0.4]], atol=1e-12)
     assert np.array_equal(out, expected)
     assert np.array_equal(models, [[0.0], [0.0]])  # inputs untouched
 
 
-class InfTask:
-    def loss(self, theta):
-        return 0.0
+class InfTasks(ObjectiveTasks):
+    """Every local update diverges."""
 
-    def train(self, theta, steps, rate, rng):
-        return np.full_like(theta, np.inf)
+    def train(self, thetas, agents, steps, rate, streams):
+        return np.full_like(thetas, np.inf)
 
 
 def test_baselines_raise_on_nonfinite_models():
-    tasks = [InfTask()]
+    tasks = InfTasks([make_quadratic(1, np.zeros(1))])
     streams = rng_mod.agent_streams(0, 1)
     hp = hp_with()
     with pytest.raises(DivergenceError):

@@ -268,3 +268,54 @@ def test_negative_seeds_and_unchecked_learner_fields_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.strip() == "config error: --seed: must be >= 0, got -1"
     assert not (tmp_path / "out").exists()
+
+
+def test_unusable_learner_fields_and_peer_only_aggregation_exit_2(tmp_path, capsys):
+    # Each config used to stop with a traceback (exit 1) or, for a non-bool
+    # include_self, to run as if it were true.  Without its own model an
+    # agent needs a download budget and a peer in every round, whatever the
+    # protocol: --protocol applies after validation.
+    from fedcbo.cli import main
+
+    cases = [
+        ({"problem": {"activation": "sigmoid", "n_classes": 1, "n_agents": 4,
+                      "n_clusters": 2},
+          "hyperparams": {"include_self": "no"}},
+         ["problem.activation: must be 'tanh' or 'relu', got 'sigmoid'",
+          "problem.n_classes: must be >= 2, got 1",
+          "hyperparams.include_self: expected true or false, got 'no'"]),
+        ({"problem": {"kind": "benchmark", "n_per_cluster": 2},
+          "hyperparams": {"include_self": False, "download_budget": 0}},
+         ["hyperparams.include_self: false needs hyperparams.download_budget >= 1, got 0"]),
+        ({"problem": {"kind": "benchmark", "n_per_cluster": 2},
+          "hyperparams": {"include_self": False}, "schedule": {"participation": 0.3}},
+         ["hyperparams.include_self: false needs at least 2 agents in each round; "
+          "schedule.participation 0.3 of 4 agents gives 1"]),
+        ({"problem": {"kind": "benchmark", "n_per_cluster": 1, "dim": 1,
+                      "centers": [[0.0], [1.0], [2.0]]},
+          "hyperparams": {"include_self": False}, "schedule": {"participation": 0.4}},
+         ["hyperparams.include_self: false needs at least 2 agents in each round; "
+          "schedule.participation 0.4 of 3 agents gives 1"]),
+        ({"problem": {"n_agents": 4, "n_clusters": 2},
+          "hyperparams": {"include_self": False, "download_budget": 0},
+          "schedule": {"participation": 0.2}},
+         ["hyperparams.include_self: false needs hyperparams.download_budget >= 1, got 0",
+          "hyperparams.include_self: false needs at least 2 agents in each round; "
+          "schedule.participation 0.2 of 4 agents gives 1"]),
+    ]
+    path = tmp_path / "bad.json"
+    for raw, expected in cases:
+        path.write_text(json.dumps(dict(raw, seeds=[0])))
+        for protocol in ("fedcbo", "local"):
+            assert main(["run", "--config", str(path), "--protocol", protocol,
+                         "--out", str(tmp_path / "out")]) == 2
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert lines == [f"config error: {problem}" for problem in expected]
+    assert not (tmp_path / "out").exists()
+
+    # Two agents in every round is enough.
+    path.write_text(json.dumps({"problem": {"kind": "benchmark", "n_per_cluster": 2},
+                                "hyperparams": {"include_self": False},
+                                "schedule": {"participation": 0.4, "rounds": 2},
+                                "seeds": [0]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "ok")]) == 0

@@ -1,5 +1,6 @@
-"""Property tests: the array-native selection, batched model kernels and
-batched round against one-model-at-a-time reference code, bit for bit; the
+"""Property tests: the array-native selection, batched model kernels,
+gradient clamp, analytic-objective tasks and batched round against
+one-model-at-a-time reference code, bit for bit; the
 consensus point and the particle step in their coordinate-major layout
 against the (n, dim) code they replaced, bit for bit, plus the consensus
 point's invariants; and the shared-grid sliced-W1 against a CDF-integral
@@ -23,11 +24,11 @@ from fedcbo import rng as rng_mod
 from fedcbo.diagnostics import make_projections, sliced_w1
 from fedcbo import sde
 from fedcbo.consensus import consensus_point
-from fedcbo.learners import (LogisticModel, MlpModel, ShardTask, ShardTasks,
-                             local_sgd)
-from fedcbo.objectives import clamp_gradient, make_centers_problem
-from fedcbo.protocol import (LikelihoodMatrix, _contract, fedcbo_round,
-                             greedy_sample, local_aggregation)
+from fedcbo.learners import (LogisticModel, MlpModel, ObjectiveTasks, ShardTask,
+                             ShardTasks, local_sgd)
+from fedcbo.objectives import (_clamp_rows, make_centers_problem, make_quadratic,
+                               make_rastrigin)
+from fedcbo.protocol import _contract, fedcbo_round, greedy_sample, local_aggregation
 from fedcbo.sde import HyperParams, ParticleCloud, em_step, epsilon_for_round
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -58,7 +59,7 @@ def reference_greedy_sample(scores, own_id, participants, budget, eps, rng):
     remaining = [p for p in peers if p not in set(explore)]
     n_exploit = budget - n_explore
     if n_exploit:
-        row = np.array([scores.values[own_id, i] for i in remaining])
+        row = np.array([scores[own_id, i] for i in remaining])
         order = sorted(range(len(remaining)), key=lambda t: (-row[t], remaining[t]))
         exploit = [remaining[t] for t in order[:n_exploit]]
     else:
@@ -108,6 +109,13 @@ def reference_loss_grad(model, theta, x, y):
                                  (hid.T @ delta).ravel(), delta.sum(axis=0)])
 
 
+def reference_clamp(g, bound):
+    """One gradient alone, rescaled onto the ball of radius ``bound`` if it
+    sticks out."""
+    norm = np.sqrt(np.add.reduce(g * g))
+    return g * (bound / norm) if norm > bound else g
+
+
 def reference_train(model, theta, x, y, steps, rate, rng, batch_size, momentum,
                     grad_bound):
     theta = np.asarray(theta, dtype=float).copy()
@@ -121,7 +129,7 @@ def reference_train(model, theta, x, y, steps, rate, rng, batch_size, momentum,
         else:
             xb, yb = x, y
         _, g = reference_loss_grad(model, theta, xb, yb)
-        g = clamp_gradient(g, grad_bound)
+        g = reference_clamp(g, grad_bound)
         velocity = momentum * velocity + g
         theta = theta - rate * velocity
     return theta
@@ -138,8 +146,7 @@ def selection_case(draw):
     # Few distinct values, both signed zeros: plenty of exact ties.
     values = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, 3.0]),
                            min_size=n_agents * n_agents, max_size=n_agents * n_agents))
-    scores = LikelihoodMatrix(n_agents)
-    scores.values[:] = np.reshape(values, (n_agents, n_agents))
+    scores = np.reshape(values, (n_agents, n_agents))
     budget = draw(st.integers(0, n_agents + 3))
     eps = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -245,10 +252,102 @@ def test_batched_training_equals_per_agent_reference(case, steps, momentum, grad
     assert same_bits(batched, reference)
     assert same_position(streams, ref_streams)
 
-    tasks = ShardTasks(model, x, y, batch_size=batch_size, momentum=momentum,
-                       grad_bound=grad_bound)
+    task = ShardTask(model, x[0], y[0], batch_size=batch_size, momentum=momentum,
+                     grad_bound=grad_bound)
     one_rng = rng_mod.agent_streams(seed, 1)[0]
-    assert same_bits(tasks[0].train(start[0], steps, 0.1, one_rng), reference[0])
+    assert same_bits(task.train(start[0], steps, 0.1, one_rng), reference[0])
+
+
+# ---------------------------------------------------------------- analytic objectives
+
+@st.composite
+def clamp_case(draw):
+    """Rows inside, exactly on and outside the ball, all-zero and infinite."""
+    dim = draw(st.integers(1, 5))
+    bound = 5.0 * 2.0 ** draw(st.integers(-3, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_ball = np.zeros(dim)
+    if dim == 1:
+        on_ball[0] = bound
+    else:
+        on_ball[:2] = [0.6 * bound, 0.8 * bound]   # norm exactly bound
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["in", "on", "out", "zero", "inf"]),
+                              min_size=1, max_size=8)):
+        if kind == "on":
+            rows.append(on_ball * gen.choice([-1.0, 1.0], size=dim))
+        elif kind == "zero":
+            rows.append(np.zeros(dim))
+        elif kind == "inf":
+            row = gen.standard_normal(dim)
+            row[gen.integers(dim)] = gen.choice([-np.inf, np.inf])
+            rows.append(row)
+        else:
+            scale = bound / (4.0 * np.sqrt(dim)) if kind == "in" else 10.0 * bound
+            rows.append(scale * gen.standard_normal(dim))
+    return np.array(rows), bound
+
+
+@SETTINGS
+@given(clamp_case())
+def test_clamp_of_a_stack_equals_clamping_each_row_alone(case):
+    grads, bound = case
+    before = grads.copy()
+    with np.errstate(invalid="ignore"):   # inf * 0 on the infinite rows
+        stacked = _clamp_rows(grads, bound)
+        alone = [(_clamp_rows(row[None], bound)[0], reference_clamp(row, bound))
+                 for row in grads]
+    assert same_bits(grads, before)
+    for out, (one, reference) in zip(stacked, alone):
+        assert same_bits(out, one)
+        assert same_bits(out, reference)
+    finite = np.isfinite(grads).all(axis=1)
+    assert (np.linalg.norm(stacked[finite], axis=1) <= bound * (1 + 1e-15)).all()
+    on_or_in = finite & (np.linalg.norm(grads, axis=1) <= bound)
+    assert same_bits(stacked[on_or_in], grads[on_or_in])
+
+
+@st.composite
+def objective_tasks_case(draw):
+    """Agents under interleaved, uneven labels; start points far enough out
+    for the clamp to fire on some rows."""
+    dim = draw(st.integers(1, 5))
+    n_objectives = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objectives = []
+    for k in range(n_objectives):
+        center = 3.0 * gen.standard_normal(dim)
+        if draw(st.booleans()):
+            objectives.append(make_quadratic(dim, center,
+                                             scale=draw(st.sampled_from([0.5, 1.0, 3.0]))))
+        else:
+            objectives.append(make_rastrigin(dim, center))
+    n_agents = draw(st.integers(1, 9))
+    labels = draw(st.lists(st.integers(0, n_objectives - 1), min_size=n_agents,
+                           max_size=n_agents))
+    agents = np.array(draw(st.permutations(range(n_agents)))[:draw(st.integers(1, n_agents))])
+    scale = draw(st.sampled_from([0.5, 5.0, 2e3]))
+    thetas = scale * gen.standard_normal((len(agents), dim))
+    candidates = scale * gen.standard_normal((len(agents), draw(st.integers(1, 4)), dim))
+    return [objectives[k] for k in labels], agents, thetas, candidates
+
+
+@SETTINGS
+@given(objective_tasks_case(), st.sampled_from([0.0, 0.9]), st.integers(0, 3))
+def test_objective_tasks_equal_per_agent_batch_of_one_calls(case, momentum, steps):
+    per_agent, agents, thetas, candidates = case
+    tasks = ObjectiveTasks(per_agent, momentum=momentum)
+    reference = thetas.copy()
+    for r, j in enumerate(agents):
+        objective, velocity = per_agent[j], np.zeros_like(thetas[r])
+        for _ in range(steps):
+            velocity = momentum * velocity + objective.gradients(reference[r][None])[0]
+            reference[r] = reference[r] - 0.05 * velocity
+    trained = tasks.train(thetas, agents, steps, 0.05, streams=None)
+    assert same_bits(trained, reference)
+    losses = np.array([[per_agent[j].losses(c[None])[0] for c in candidates[r]]
+                       for r, j in enumerate(agents)])
+    assert same_bits(tasks.losses(agents, candidates), losses)
 
 
 # ---------------------------------------------------------------- whole round
@@ -259,23 +358,24 @@ def reference_round(models, tasks, scores, hp, round_index, streams, participant
     rate = hp.grad_drift * hp.step_size
     updated = models.copy()
     for j in participants:
-        t = tasks[j]
-        updated[j] = reference_train(t.model, models[j], t.x, t.y, hp.local_steps, rate,
-                                     streams[j], t.batch_size, t.momentum, t.grad_bound)
+        updated[j] = reference_train(tasks.model, models[j], tasks.x[j], tasks.y[j],
+                                     hp.local_steps, rate, streams[j], tasks.batch_size,
+                                     tasks.momentum, tasks.grad_bound)
     new_models, new_scores = updated.copy(), scores.copy()
     selections, own_losses = {}, {}
 
-    def loss_of(t):
-        return lambda theta: reference_loss_grad(t.model, theta, t.x, t.y)[0]
+    def loss_of(j):
+        return lambda theta: reference_loss_grad(tasks.model, theta, tasks.x[j],
+                                                 tasks.y[j])[0]
 
     for j in participants:
         selected = reference_greedy_sample(scores, j, participants, hp.download_budget,
                                            eps, streams[j])
         result = local_aggregation(j, updated[j], {i: updated[i] for i in selected},
-                                   loss_of(tasks[j]), hp)
+                                   loss_of(j), hp)
         new_models[j] = result.new_model
         for i, delta in result.score_deltas.items():
-            new_scores.values[j, i] += delta
+            new_scores[j, i] += delta
         selections[j], own_losses[j] = selected, result.own_loss
     return new_models, new_scores, selections, own_losses
 
@@ -295,8 +395,7 @@ def test_batched_round_equals_serial_reference(n_agents, budget, include_self, b
     y = gen.integers(0, 3, size=(n_agents, 12))
     tasks = ShardTasks(model, x, y, batch_size=batch_size, momentum=0.9)
     models = 0.5 * gen.standard_normal((n_agents, model.n_params))
-    scores = LikelihoodMatrix(n_agents)
-    scores.values[:] = gen.integers(-2, 3, size=(n_agents, n_agents)) * 0.5
+    scores = gen.integers(-2, 3, size=(n_agents, n_agents)) * 0.5
     hp = HyperParams(consensus_drift=5.0, grad_drift=1.0, alpha=10.0, step_size=0.1,
                      local_steps=2, download_budget=budget, eps_start=0.5,
                      include_self=include_self, momentum=0.9, batch_size=batch_size)
@@ -312,18 +411,9 @@ def test_batched_round_equals_serial_reference(n_agents, budget, include_self, b
     assert entry.selections == selections
     assert same_bits(list(entry.own_losses.values()), list(own_losses.values()))
     assert same_bits(new_models, ref_models)
-    assert same_bits(new_scores.values, ref_scores.values)
+    assert same_bits(new_scores, ref_scores)
     assert entry.downloads == sum(len(s) for s in selections.values())
     assert entry.loss_evals == entry.downloads + len(entry.participants)
-
-    # The one-agent-at-a-time task list takes the generic path: same bits.
-    plain = [ShardTask(model, x[j], y[j], batch_size=batch_size, momentum=0.9)
-             for j in range(n_agents)]
-    generic = fedcbo_round(models, plain, scores, hp, round_index,
-                           rng_mod.agent_streams(seed, n_agents), participation,
-                           rng_mod.stream(seed, rng_mod.ROUND))
-    assert same_bits(generic[0], new_models)
-    assert same_bits(generic[1].values, new_scores.values)
 
 
 # ---------------------------------------------------------------- consensus and particle step

@@ -1,6 +1,7 @@
 """Round protocol: selection rule, aggregation arithmetic, score updates,
 snapshot semantics, and atomic failure handling."""
 
+import dataclasses
 import logging
 import math
 from collections import Counter
@@ -12,10 +13,10 @@ from fedcbo import rng as rng_mod
 from fedcbo.config import resolve_config
 from fedcbo.errors import DivergenceError, InvalidParameterError
 from fedcbo.experiment import build_setup, run_protocol
+from fedcbo.learners import ObjectiveTasks
 from fedcbo.objectives import make_quadratic
-from fedcbo.protocol import (LikelihoodMatrix, ObjectiveTask, _round_half_up,
-                             fedcbo_round, greedy_sample, local_aggregation,
-                             oracle_sr, selection_ratio)
+from fedcbo.protocol import (_round_half_up, fedcbo_round, greedy_sample,
+                             local_aggregation, oracle_sr, selection_ratio)
 from fedcbo.sde import HyperParams
 
 
@@ -28,39 +29,37 @@ def test_round_half_up_convention():
 
 
 def test_likelihood_matrix_basics():
-    scores = LikelihoodMatrix(3)
-    assert scores.score(0, 1) == 0.0
-    scores.add(0, 1, 2.5)
-    scores.add(0, 1, -1.0)
-    assert scores.score(0, 1) == 1.5
-    assert scores.score(1, 0) == 0.0  # rows are independent
-    assert np.array_equal(scores.row(0, [2, 1]), [0.0, 1.5])
-
-
-def test_likelihood_matrix_rejects_self_and_out_of_range():
-    scores = LikelihoodMatrix(3)
-    with pytest.raises(InvalidParameterError):
-        scores.score(1, 1)
-    with pytest.raises(InvalidParameterError):
-        scores.add(2, 2, 1.0)
-    with pytest.raises(InvalidParameterError):
-        scores.score(0, 3)
-    with pytest.raises(InvalidParameterError):
-        LikelihoodMatrix(0)
+    # Scores are a plain (A, A) array.  A round adds own loss - peer loss
+    # into row j at each downloaded peer, and touches no other entry.
+    models, tasks, scores, hp, streams = two_agent_setup(n_agents=3)
+    scores[0, 2] = 4.0            # agent 0 exploits toward peer 2
+    scores[2, 0] = 4.0            # agent 2 toward peer 0
+    scores[1, 0] = 4.0            # agent 1 toward peer 0
+    hp = dataclasses.replace(hp, eps_start=0.0, eps_floor=0.0)
+    new_models, new_scores, entry = fedcbo_round(models, tasks, scores, hp, 0, streams)
+    assert entry.selections == {0: [2], 1: [0], 2: [0]}
+    own = np.array([entry.own_losses[j] for j in range(3)])
+    expected = scores.copy()
+    for j, (i,) in entry.selections.items():
+        expected[j, i] += own[j] - own[i]   # one shared objective: i's loss is its own
+    assert new_scores.shape == (3, 3) and new_scores.dtype == float
+    assert np.array_equal(new_scores, expected)
+    assert np.array_equal(np.diag(new_scores), np.zeros(3))
 
 
 def test_likelihood_matrix_copy_is_independent():
-    scores = LikelihoodMatrix(2)
-    dup = scores.copy()
-    dup.add(0, 1, 5.0)
-    assert scores.score(0, 1) == 0.0
-    assert dup.score(0, 1) == 5.0
+    # The round returns new scores and leaves its input array alone.
+    models, tasks, scores, hp, streams = two_agent_setup()
+    _, new_scores, _ = fedcbo_round(models, tasks, scores, hp, 0, streams)
+    assert new_scores is not scores
+    new_scores[0, 1] = 5.0
+    assert np.array_equal(scores, np.zeros((2, 2)))
 
 
 def scores_with(n, entries):
-    scores = LikelihoodMatrix(n)
+    scores = np.zeros((n, n))
     for (j, i), s in entries.items():
-        scores.add(j, i, s)
+        scores[j, i] += s
     return scores
 
 
@@ -74,14 +73,14 @@ def test_pure_exploitation_takes_top_scores_with_low_id_ties():
 def test_exploration_block_size_uses_round_half_up():
     # eps=0.5, budget=1 -> one explore slot, zero exploit slots; with a
     # single peer available the outcome is forced regardless of the stream.
-    scores = LikelihoodMatrix(2)
+    scores = np.zeros((2, 2))
     picked = greedy_sample(scores, 0, [0, 1], budget=1, eps=0.5,
                            rng=np.random.default_rng(0))
     assert picked == [1]
 
 
 def test_selection_never_includes_self_and_is_sorted():
-    scores = LikelihoodMatrix(6)
+    scores = np.zeros((6, 6))
     for trial in range(50):
         gen = np.random.default_rng(trial)
         picked = greedy_sample(scores, 2, list(range(6)), budget=3, eps=1.0, rng=gen)
@@ -110,7 +109,7 @@ def test_selection_distribution_matches_enumeration():
 def test_budget_clamps_to_available_peers_with_one_warning(caplog):
     # Selection clamps silently; each run logs the clamp once and counts
     # every clamped agent-round.  Nothing carries over from one run to the next.
-    scores = LikelihoodMatrix(3)
+    scores = np.zeros((3, 3))
     a = greedy_sample(scores, 0, [0, 1, 2], budget=10, eps=0.0,
                       rng=np.random.default_rng(0))
     b = greedy_sample(scores, 0, [0, 1, 2], budget=10, eps=0.0,
@@ -133,7 +132,7 @@ def test_budget_clamps_to_available_peers_with_one_warning(caplog):
 
 
 def test_zero_budget_and_validation():
-    scores = LikelihoodMatrix(3)
+    scores = np.zeros((3, 3))
     gen = np.random.default_rng(0)
     assert greedy_sample(scores, 0, [0, 1, 2], budget=0, eps=0.5, rng=gen) == []
     with pytest.raises(InvalidParameterError):
@@ -186,12 +185,12 @@ def test_local_aggregation_drops_nonfinite_peers():
     assert 2 not in result.score_deltas
 
 
-def two_agent_setup():
+def two_agent_setup(n_agents=2):
     obj = make_quadratic(1, np.zeros(1))
-    tasks = [ObjectiveTask(obj), ObjectiveTask(obj)]
-    models = np.array([[0.0], [2.0]])
-    scores = LikelihoodMatrix(2)
-    streams = rng_mod.agent_streams(0, 2)
+    tasks = ObjectiveTasks([obj] * n_agents)
+    models = 2.0 * np.arange(n_agents, dtype=float)[:, None]
+    scores = np.zeros((n_agents, n_agents))
+    streams = rng_mod.agent_streams(0, n_agents)
     hp = HyperParams(consensus_drift=1.0, grad_drift=1.0, alpha=1.0,
                      step_size=0.1, local_steps=1, download_budget=1)
     return models, tasks, scores, hp, streams
@@ -211,8 +210,8 @@ def test_round_hand_case_uses_post_update_snapshot():
     assert abs(new_models[1, 0] - (1.44 + 0.1 * m)) < 1e-12
 
     # Score updates: own loss minus peer loss on each agent's data.
-    assert abs(new_scores.score(0, 1) + 2.56) < 1e-12
-    assert abs(new_scores.score(1, 0) - 2.56) < 1e-12
+    assert abs(new_scores[0, 1] + 2.56) < 1e-12
+    assert abs(new_scores[1, 0] - 2.56) < 1e-12
 
     assert entry.round_index == 0
     assert entry.eps == 0.5
@@ -224,7 +223,7 @@ def test_round_hand_case_uses_post_update_snapshot():
 
     # Inputs are untouched.
     assert np.array_equal(models, [[0.0], [2.0]])
-    assert scores.score(0, 1) == 0.0
+    assert scores[0, 1] == 0.0
 
 
 def test_round_rejects_bad_participation():
@@ -233,13 +232,15 @@ def test_round_rejects_bad_participation():
         fedcbo_round(models, tasks, scores, hp, 0, streams, participation=0.0)
     with pytest.raises(InvalidParameterError):
         fedcbo_round(models, tasks, scores, hp, 0, streams, participation=0.5)
+    with pytest.raises(InvalidParameterError, match="scores"):
+        fedcbo_round(models, tasks, np.zeros((3, 3)), hp, 0, streams)
 
 
 def test_partial_participation_leaves_absent_agents_untouched():
     obj = make_quadratic(1, np.zeros(1))
-    tasks = [ObjectiveTask(obj) for _ in range(4)]
+    tasks = ObjectiveTasks([obj] * 4)
     models = np.arange(4, dtype=float)[:, None] + 1.0
-    scores = LikelihoodMatrix(4)
+    scores = np.zeros((4, 4))
     streams = rng_mod.agent_streams(0, 4)
     hp = HyperParams(consensus_drift=1.0, grad_drift=0.0, alpha=1.0,
                      step_size=0.1, local_steps=0, download_budget=1)
@@ -252,35 +253,37 @@ def test_partial_participation_leaves_absent_agents_untouched():
         assert np.array_equal(new_models[j], models[j])
 
 
-class ExplodingTask:
-    def loss(self, theta):
-        return 0.0
+class ExplodingTasks(ObjectiveTasks):
+    """Agent 1's losses blow up to nan."""
 
-    def train(self, theta, steps, rate, rng):
-        raise FloatingPointError("boom")
+    def losses(self, agents, candidates):
+        out = super().losses(agents, candidates)
+        out[agents == 1] = np.nan
+        return out
 
 
 def test_round_failure_is_atomic_and_names_the_agent():
     models, tasks, scores, hp, streams = two_agent_setup()
-    tasks[1] = ExplodingTask()
+    tasks = ExplodingTasks(tasks.objectives)
     before = models.copy()
     with pytest.raises(RuntimeError, match="agent 1"):
         fedcbo_round(models, tasks, scores, hp, 0, streams)
     assert np.array_equal(models, before)
-    assert scores.score(0, 1) == 0.0
+    assert scores[0, 1] == 0.0
 
 
-class DivergingTask:
-    def loss(self, theta):
-        return 0.0
+class DivergingTasks(ObjectiveTasks):
+    """Agent 0's local update diverges."""
 
-    def train(self, theta, steps, rate, rng):
-        return np.full_like(theta, np.inf)
+    def train(self, thetas, agents, steps, rate, streams):
+        out = super().train(thetas, agents, steps, rate, streams)
+        out[agents == 0] = np.inf
+        return out
 
 
 def test_nonfinite_local_update_raises_divergence():
     models, tasks, scores, hp, streams = two_agent_setup()
-    tasks[0] = DivergingTask()
+    tasks = DivergingTasks(tasks.objectives)
     with pytest.raises(DivergenceError) as err:
         fedcbo_round(models, tasks, scores, hp, 0, streams)
     assert err.value.index == 0
@@ -297,19 +300,19 @@ def test_divergence_names_the_round_and_the_lowest_agent():
     models = setup.initial_models.copy()
     models[[5, 3]] = np.inf
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-        fedcbo_round(models, setup.tasks, LikelihoodMatrix(8), config.hp(), 7,
+        fedcbo_round(models, setup.tasks, np.zeros((8, 8)), config.hp(), 7,
                      rng_mod.agent_streams(0, 8))
     assert err.value.step == 7
     assert err.value.index == 3
     assert "round 7, agent 3" in str(err.value)
 
 
-def test_objective_task_train_is_plain_descent():
+def test_objective_tasks_train_is_plain_descent():
     obj = make_quadratic(1, np.zeros(1))
-    task = ObjectiveTask(obj)
-    out = task.train(np.array([1.0]), steps=2, rate=0.1, rng=None)
+    tasks = ObjectiveTasks([obj])
+    out = tasks.train(np.array([[1.0]]), np.array([0]), steps=2, rate=0.1, streams=None)
     # 1 -> 1 - 0.1*2 = 0.8 -> 0.8 - 0.1*1.6 = 0.64
-    assert abs(out[0] - 0.64) < 1e-12
+    assert abs(out[0, 0] - 0.64) < 1e-12
 
 
 def test_oracle_sr_formula_and_validation():
