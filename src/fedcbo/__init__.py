@@ -2,12 +2,13 @@
 
 __version__ = "0.1.0"
 
+from .config import HyperParams, InitSpec
 from .consensus import ConsensusPoint, consensus_point, consensus_point_for_agent
 from .errors import ConfigError, DivergenceError, InvalidParameterError
 from .objectives import (BenchmarkProblem, Objective, make_quadratic,
                          make_rastrigin, make_well_problem)
-from .sde import (HyperParams, InitSpec, ParticleCloud, decay_exponent_fit,
-                  em_step, epsilon_for_round, make_cloud, run_sde)
+from .sde import (ParticleCloud, decay_exponent_fit, em_step, epsilon_for_round,
+                  make_cloud, run_sde)
 
 __all__ = [
     "BenchmarkProblem", "ConfigError", "ConsensusPoint", "DivergenceError",

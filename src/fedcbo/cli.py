@@ -15,7 +15,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import PROTOCOLS, load_config
 from .errors import ConfigError, DivergenceError
 from .experiment import (compare_protocols, export_plot_data, run_experiment,
                          run_sde_experiment, scan_meanfield_experiment)
@@ -30,8 +30,7 @@ def _add_shared(parser, config_required=True,
     parser.add_argument("--seed", type=int, default=None,
                         help="run a single seed instead of the configured list")
     parser.add_argument("--out", default=None, help=out_help)
-    parser.add_argument("--protocol", default=None,
-                        choices=("fedcbo", "fedavg", "ifca", "local"),
+    parser.add_argument("--protocol", default=None, choices=PROTOCOLS,
                         help="protocol override")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker hint; results are identical for any value")

@@ -1,9 +1,11 @@
 """Experiment configuration: JSON in, fully-resolved dict out.
 
-A config file has sections [problem], [hyperparams], [schedule], [output]
-plus top-level "protocol" and "seeds".  Every omitted field is filled from
-the defaults below and the resolved config is echoed into the run manifest,
-so a manifest always shows the exact values that ran.  Validation collects
+A config file has sections [problem], [hyperparams], [schedule], [output],
+each an object or null (all defaults), plus top-level "protocol" and "seeds".
+One table per section holds each field's default and rule; ``HyperParams``
+and ``InitSpec`` check their fields with the same rules.  Integer fields take
+JSON integers (5, not 5.0).  The resolved config is echoed into the run
+manifest, so a manifest shows the exact values that ran.  Validation collects
 every violation instead of stopping at the first.
 """
 
@@ -12,74 +14,229 @@ import hashlib
 import json
 import logging
 import math
+import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import ConfigError
-from .sde import HyperParams, InitSpec
+from .errors import ConfigError, InvalidParameterError
 
 log = logging.getLogger(__name__)
 
 PROTOCOLS = ("fedcbo", "fedavg", "ifca", "local")
 
-DEFAULT_HYPERPARAMS = {
-    "consensus_drift": 10.0,
-    "grad_drift": 1.0,
-    "consensus_noise": 0.0,
-    "grad_noise": 0.0,
-    "alpha": 10.0,
-    "step_size": 0.1,
-    "local_steps": 5,
-    "download_budget": 10,
-    "eps_start": 0.5,
-    "eps_decay": 0.01,
-    "eps_floor": 0.1,
-    "momentum": 0.9,
-    "batch_size": None,
-    "include_self": True,
+
+def _is_finite_number(value):
+    # json parses NaN, Infinity and integers too long for a float, so a
+    # number can still be non-finite.
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_BOUNDS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt),
+           ("le", "<=", operator.le), ("lt", "<", operator.lt))
+
+
+def _number(integer=False, **bounds):
+    """A finite number, integral if ``integer``, within bounds ge, gt, le, lt."""
+    def rule(name, value):
+        if not _is_finite_number(value):
+            return [f"{name}: expected a finite number, got {value!r}"]
+        if integer and not _is_integer(value):
+            return [f"{name}: expected an integer, got {value!r}"]
+        return [f"{name}: must be {symbol} {bounds[key]}, got {value}"
+                for key, symbol, test in _BOUNDS
+                if key in bounds and not test(value, bounds[key])]
+    return rule
+
+
+def _integer(minimum):
+    return _number(integer=True, ge=minimum)
+
+
+def _integer_list(minimum):
+    item = _integer(minimum)
+
+    def rule(name, value):
+        if not isinstance(value, list) or not value:
+            return [f"{name}: expected a nonempty list"]
+        return [problem for v in value for problem in item(name, v)]
+    return rule
+
+
+def _choice(*options):
+    text = " or ".join(repr(option) for option in options)
+    return lambda name, value: ([] if value in options
+                                else [f"{name}: must be {text}, got {value!r}"])
+
+
+def _bool(name, value):
+    return [] if isinstance(value, bool) else [f"{name}: expected true or false, got {value!r}"]
+
+
+def _text(name, value):
+    return [] if isinstance(value, str) and value else [f"{name}: expected a nonempty string"]
+
+
+def _is_point(value):
+    return isinstance(value, list) and all(_is_finite_number(v) for v in value)
+
+
+def _centers(name, value):
+    if not isinstance(value, list) or not value:
+        return [f"{name}: expected a nonempty list of points or null"]
+    return [f"{name}[{k}]: expected a list of finite numbers, got {center!r}"
+            for k, center in enumerate(value) if not _is_point(center)]
+
+
+# problem.kind picks the problem table; both tables check it with this rule.
+_KIND = _choice("learner", "benchmark")
+
+# One table per section: field -> (default, rule).  A rule takes a field's
+# name and value and returns its problems as messages.  A field whose default
+# is null also accepts null.  Fields are checked, and their problems listed,
+# in table order.
+
+LEARNER_PROBLEM = {
+    "kind": ("learner", _KIND),
+    "model": ("mlp", _choice("mlp", "logistic")),
+    "activation": ("tanh", _choice("tanh", "relu")),
+    "hidden": (16, _integer(1)),
+    "n_clusters": (4, _integer(1)),
+    "n_agents": (40, _integer(1)),
+    "n_per_agent": (100, _integer(1)),
+    "n_test": (400, _integer(1)),
+    "n_classes": (4, _integer(2)),
+    "input_dim": (16, _integer(2)),
+    "radius": (2.0, _number(gt=0)),
+    "blob_std": (1.35, _number(gt=0)),
+    "noise_std": (1.0, _number(ge=0)),
+    "data_seed": (None, _integer(0)),
+    "init_scale": (None, _number()),
 }
 
-DEFAULT_LEARNER_PROBLEM = {
-    "kind": "learner",
-    "model": "mlp",
-    "hidden": 16,
-    "activation": "tanh",
-    "n_clusters": 4,
-    "n_agents": 40,
-    "n_per_agent": 100,
-    "input_dim": 16,
-    "n_classes": 4,
-    "radius": 2.0,
-    "blob_std": 1.35,
-    "noise_std": 1.0,
-    "n_test": 400,
-    "data_seed": None,
-    "init_scale": None,
+BENCHMARK_PROBLEM = {
+    "kind": ("benchmark", _KIND),
+    "objective": ("quadratic", _choice("quadratic", "rastrigin")),
+    "dim": (2, _integer(1)),
+    "n_per_cluster": (200, _integer(1)),
+    "scale": (1.0, _number(gt=0)),
+    "init_std": (3.0, _number(gt=0)),
+    "init_mean": (0.0, _number()),
+    "offset": (2.0, _number()),
+    "centers": (None, _centers),
 }
 
-DEFAULT_BENCHMARK_PROBLEM = {
-    "kind": "benchmark",
-    "objective": "quadratic",
-    "dim": 2,
-    "offset": 2.0,
-    "centers": None,
-    "scale": 1.0,
-    "n_per_cluster": 200,
-    "init_std": 3.0,
-    "init_mean": 0.0,
+HYPERPARAMS = {
+    "consensus_drift": (10.0, _number(ge=0)),
+    "grad_drift": (1.0, _number(ge=0)),
+    "consensus_noise": (0.0, _number(ge=0)),
+    "grad_noise": (0.0, _number(ge=0)),
+    "alpha": (10.0, _number(gt=0)),
+    "step_size": (0.1, _number(gt=0)),
+    "local_steps": (5, _integer(0)),
+    "download_budget": (10, _integer(0)),
+    "eps_start": (0.5, _number(ge=0, le=1)),
+    "eps_decay": (0.01, _number(ge=0)),
+    "eps_floor": (0.1, _number(ge=0, le=1)),
+    "momentum": (0.9, _number(ge=0, lt=1)),
+    "batch_size": (None, _integer(1)),
+    "include_self": (True, _bool),
 }
 
-DEFAULT_SCHEDULE = {
-    "rounds": 30,
-    "t_steps": 200,
-    "participation": 1.0,
-    "record_every": 1,
-    "n_list": [50, 100, 200, 400, 800],
-    "n_projections": 64,
-    "n_checkpoints": 20,
+SCHEDULE = {
+    "rounds": (30, _integer(0)),
+    "t_steps": (200, _integer(1)),
+    "participation": (1.0, _number(gt=0, le=1)),
+    "record_every": (1, _integer(1)),
+    "n_list": ([50, 100, 200, 400, 800], _integer_list(1)),
+    "n_projections": (64, _integer(1)),
+    "n_checkpoints": (20, _integer(1)),
 }
 
-DEFAULT_OUTPUT = {"dir": "runs/out"}
+OUTPUT = {"dir": ("runs/out", _text)}
+
+
+def _defaults(table):
+    return {key: copy.deepcopy(default) for key, (default, _) in table.items()}
+
+
+DEFAULT_HYPERPARAMS = _defaults(HYPERPARAMS)
+
+
+def _check(prefix, table, values):
+    return [problem for key, (default, rule) in table.items()
+            if not (values[key] is None and default is None)
+            for problem in rule(prefix + key, values[key])]
+
+
+def _raise_invalid(problems):
+    if problems:
+        raise InvalidParameterError("; ".join(problems))
+
+
+@dataclass(frozen=True)
+class HyperParams:
+    """Dynamics and protocol knobs shared by the simulator and the protocol.
+
+    consensus_drift / grad_drift are the drift rates toward the consensus
+    point and down the local gradient; consensus_noise / grad_noise scale
+    the matching noise terms.  local_steps and download_budget only matter
+    for the round-based protocol.  The [hyperparams] table's rules apply;
+    the defaults here are the simulator's own.
+    """
+
+    consensus_drift: float = 1.0
+    grad_drift: float = 0.0
+    consensus_noise: float = 0.0
+    grad_noise: float = 0.0
+    alpha: float = 10.0
+    step_size: float = 0.1
+    local_steps: int = 1
+    download_budget: int = 0
+    eps_start: float = 0.5
+    eps_decay: float = 0.01
+    eps_floor: float = 0.1
+    momentum: float = 0.0
+    batch_size: Optional[int] = None
+    include_self: bool = True
+
+    def __post_init__(self):
+        _raise_invalid(_check("", HYPERPARAMS, vars(self)))
+
+    def contraction_margin(self, grad_lipschitz, dim):
+        """2*l1 - (2*l2*M + d*s1^2 + d*s2^2*M^2); positive means contraction."""
+        m = float(grad_lipschitz)
+        return (
+            2.0 * self.consensus_drift
+            - 2.0 * self.grad_drift * m
+            - dim * self.consensus_noise**2
+            - dim * self.grad_noise**2 * m * m
+        )
+
+    def theory_regime(self, grad_lipschitz, dim):
+        return self.contraction_margin(grad_lipschitz, dim) > 0.0
+
+
+@dataclass(frozen=True)
+class InitSpec:
+    """Isotropic Gaussian initialization  N(mean, std^2 I), with the rules of
+    problem.init_std and problem.init_mean."""
+
+    std: float = 1.0
+    mean: float = 0.0
+
+    def __post_init__(self):
+        _raise_invalid(BENCHMARK_PROBLEM["init_std"][1]("std", self.std)
+                       + BENCHMARK_PROBLEM["init_mean"][1]("mean", self.mean))
 
 
 def canonical_json(obj):
@@ -103,14 +260,7 @@ class ExperimentConfig:
     seeds: list
 
     def resolved(self):
-        return {
-            "problem": self.problem,
-            "hyperparams": self.hyperparams,
-            "schedule": self.schedule,
-            "output": self.output,
-            "protocol": self.protocol,
-            "seeds": self.seeds,
-        }
+        return dict(vars(self))
 
     def hash(self):
         return config_hash(self.resolved())
@@ -122,35 +272,18 @@ class ExperimentConfig:
         return InitSpec(std=self.problem["init_std"], mean=self.problem["init_mean"])
 
 
-def _merge_section(name, defaults, given, problems):
-    out = copy.deepcopy(defaults)
-    for key, value in given.items():
-        if key not in defaults:
+def _merge(name, table, given, problems):
+    """The section ``given`` over the table's defaults; null means all defaults."""
+    out = _defaults(table)
+    if given is not None and not isinstance(given, dict):
+        problems.append(f"{name}: expected an object")
+        return out
+    for key, value in (given or {}).items():
+        if key in out:
+            out[key] = value
+        else:
             problems.append(f"{name}.{key}: unknown field")
-            continue
-        out[key] = value
     return out
-
-
-def _is_finite_number(value):
-    # json parses NaN and Infinity, so a number can still be non-finite.
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _require_number(section, key, value, problems, minimum=None, strict=False,
-                    integer=False):
-    if not _is_finite_number(value):
-        problems.append(f"{section}.{key}: expected a finite number, got {value!r}")
-        return
-    if integer and int(value) != value:
-        problems.append(f"{section}.{key}: expected an integer, got {value!r}")
-        return
-    if minimum is not None:
-        if strict and value <= minimum:
-            problems.append(f"{section}.{key}: must be > {minimum}, got {value}")
-        elif not strict and value < minimum:
-            problems.append(f"{section}.{key}: must be >= {minimum}, got {value}")
 
 
 def load_config(path):
@@ -176,53 +309,43 @@ def resolve_config(raw):
         if key not in known_top:
             problems.append(f"{key}: unknown top-level section")
 
-    raw_problem = raw.get("problem", {})
-    if not isinstance(raw_problem, dict):
-        problems.append("problem: expected an object")
-        raw_problem = {}
-    kind = raw_problem.get("kind", "learner")
-    if kind not in ("learner", "benchmark"):
-        problems.append(f"problem.kind: must be 'learner' or 'benchmark', got {kind!r}")
-        kind = "learner"
-    base = DEFAULT_LEARNER_PROBLEM if kind == "learner" else DEFAULT_BENCHMARK_PROBLEM
-    problem = _merge_section("problem", base, raw_problem, problems)
-    problem["kind"] = kind
-
-    hyperparams = _merge_section(
-        "hyperparams", DEFAULT_HYPERPARAMS, raw.get("hyperparams", {}) or {}, problems
-    )
-    schedule = _merge_section(
-        "schedule", DEFAULT_SCHEDULE, raw.get("schedule", {}) or {}, problems
-    )
-    output = _merge_section("output", DEFAULT_OUTPUT, raw.get("output", {}) or {}, problems)
+    raw_problem = raw.get("problem")
+    kind = raw_problem.get("kind") if isinstance(raw_problem, dict) else None
+    problem_table = BENCHMARK_PROBLEM if kind == "benchmark" else LEARNER_PROBLEM
+    problem = _merge("problem", problem_table, raw_problem, problems)
+    hyperparams = _merge("hyperparams", HYPERPARAMS, raw.get("hyperparams"), problems)
+    schedule = _merge("schedule", SCHEDULE, raw.get("schedule"), problems)
+    output = _merge("output", OUTPUT, raw.get("output"), problems)
 
     protocol = raw.get("protocol", "fedcbo")
-    if protocol not in PROTOCOLS:
-        problems.append(f"protocol: must be one of {PROTOCOLS}, got {protocol!r}")
+    problems.extend(_choice(*PROTOCOLS)("protocol", protocol))
 
     seeds = raw.get("seeds", [0, 1, 2])
-    if not isinstance(seeds, list) or not seeds:
-        problems.append("seeds: expected a nonempty list of integers")
-        seeds = [0]
-    else:
-        for s in seeds:
-            if isinstance(s, bool) or not isinstance(s, int):
-                problems.append(f"seeds: expected integers, got {s!r}")
-            elif s < 0:
-                problems.append(f"seeds: must be >= 0, got {s}")
+    problems.extend(_integer_list(0)("seeds", seeds))
+    if isinstance(seeds, list):
         # A repeated seed would run twice, list its metric file twice and
         # give the summary a spread of zero.
-        counts = Counter(s for s in seeds if isinstance(s, int) and not isinstance(s, bool))
+        counts = Counter(s for s in seeds if _is_integer(s))
         repeated = sorted(s for s, c in counts.items() if c > 1)
         if repeated:
             problems.append(f"seeds: each seed may appear once, repeated: {repeated}")
 
-    _validate_problem(problem, problems)
-    _validate_hyperparams(hyperparams, problems)
-    _validate_schedule(schedule, problems)
-    _validate_peer_only(problem, hyperparams, schedule, problems)
-    if not isinstance(output.get("dir"), str) or not output["dir"]:
-        problems.append("output.dir: expected a nonempty string")
+    problems += _check("problem.", problem_table, problem)
+    if problem_table is LEARNER_PROBLEM:
+        n_agents, n_clusters = problem["n_agents"], problem["n_clusters"]
+        if _is_integer(n_agents) and _is_integer(n_clusters) and n_clusters >= 1 \
+                and n_agents % n_clusters:
+            problems.append("problem.n_agents: must be divisible by n_clusters")
+    elif _is_integer(problem["dim"]) and problem["dim"] >= 1 \
+            and isinstance(problem["centers"], list):
+        for k, center in enumerate(problem["centers"]):
+            if _is_point(center) and len(center) != problem["dim"]:
+                problems.append(f"problem.centers[{k}]: has {len(center)} coordinates, "
+                                f"dim is {problem['dim']}")
+    problems += _check("hyperparams.", HYPERPARAMS, hyperparams)
+    problems += _check("schedule.", SCHEDULE, schedule)
+    _check_peer_only(problem, hyperparams, schedule, problems)
+    problems += _check("output.", OUTPUT, output)
 
     if problems:
         raise ConfigError(problems)
@@ -232,88 +355,7 @@ def resolve_config(raw):
                             protocol=protocol, seeds=[int(s) for s in seeds])
 
 
-def _validate_problem(problem, problems):
-    if problem["kind"] == "learner":
-        if problem["model"] not in ("mlp", "logistic"):
-            problems.append(f"problem.model: must be 'mlp' or 'logistic', got {problem['model']!r}")
-        if problem["activation"] not in ("tanh", "relu"):
-            problems.append("problem.activation: must be 'tanh' or 'relu', "
-                            f"got {problem['activation']!r}")
-        for key in ("hidden", "n_clusters", "n_agents", "n_per_agent", "n_test"):
-            _require_number("problem", key, problem[key], problems, minimum=1, integer=True)
-        _require_number("problem", "n_classes", problem["n_classes"], problems,
-                        minimum=2, integer=True)
-        _require_number("problem", "input_dim", problem["input_dim"], problems,
-                        minimum=2, integer=True)
-        for key in ("radius", "blob_std"):
-            _require_number("problem", key, problem[key], problems, minimum=0, strict=True)
-        _require_number("problem", "noise_std", problem["noise_std"], problems, minimum=0)
-        if problem["data_seed"] is not None:
-            _require_number("problem", "data_seed", problem["data_seed"], problems,
-                            minimum=0, integer=True)
-        if problem["init_scale"] is not None:
-            _require_number("problem", "init_scale", problem["init_scale"], problems)
-        if isinstance(problem["n_agents"], int) and isinstance(problem["n_clusters"], int):
-            if problem["n_clusters"] >= 1 and problem["n_agents"] % problem["n_clusters"]:
-                problems.append("problem.n_agents: must be divisible by n_clusters")
-    else:
-        if problem["objective"] not in ("quadratic", "rastrigin"):
-            problems.append(
-                f"problem.objective: must be 'quadratic' or 'rastrigin', got {problem['objective']!r}"
-            )
-        _require_number("problem", "dim", problem["dim"], problems, minimum=1, integer=True)
-        _require_number("problem", "n_per_cluster", problem["n_per_cluster"], problems,
-                        minimum=1, integer=True)
-        _require_number("problem", "scale", problem["scale"], problems, minimum=0, strict=True)
-        _require_number("problem", "init_std", problem["init_std"], problems,
-                        minimum=0, strict=True)
-        _require_number("problem", "init_mean", problem["init_mean"], problems)
-        _require_number("problem", "offset", problem["offset"], problems)
-        _validate_centers(problem["centers"], problem["dim"], problems)
-
-
-def _validate_centers(centers, dim, problems):
-    if centers is None:
-        return
-    if not isinstance(centers, list) or not centers:
-        problems.append("problem.centers: expected a nonempty list of points or null")
-        return
-    check_length = isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1
-    for k, center in enumerate(centers):
-        if not isinstance(center, list) or not all(_is_finite_number(v) for v in center):
-            problems.append(f"problem.centers[{k}]: expected a list of finite numbers, "
-                            f"got {center!r}")
-        elif check_length and len(center) != dim:
-            problems.append(f"problem.centers[{k}]: has {len(center)} coordinates, "
-                            f"dim is {dim}")
-
-
-def _validate_hyperparams(hp, problems):
-    for key in ("consensus_drift", "grad_drift", "consensus_noise", "grad_noise"):
-        _require_number("hyperparams", key, hp[key], problems, minimum=0)
-    _require_number("hyperparams", "alpha", hp["alpha"], problems, minimum=0, strict=True)
-    _require_number("hyperparams", "step_size", hp["step_size"], problems,
-                    minimum=0, strict=True)
-    for key in ("local_steps", "download_budget"):
-        _require_number("hyperparams", key, hp[key], problems, minimum=0, integer=True)
-    for key in ("eps_start", "eps_decay", "eps_floor"):
-        _require_number("hyperparams", key, hp[key], problems, minimum=0)
-    for key in ("eps_start", "eps_floor"):
-        value = hp[key]
-        if _is_finite_number(value) and value > 1:
-            problems.append(f"hyperparams.{key}: must be <= 1, got {value}")
-    _require_number("hyperparams", "momentum", hp["momentum"], problems, minimum=0)
-    if _is_finite_number(hp["momentum"]) and hp["momentum"] >= 1.0:
-        problems.append("hyperparams.momentum: must be < 1")
-    if hp["batch_size"] is not None:
-        _require_number("hyperparams", "batch_size", hp["batch_size"], problems,
-                        minimum=1, integer=True)
-    if not isinstance(hp["include_self"], bool):
-        problems.append(f"hyperparams.include_self: expected true or false, "
-                        f"got {hp['include_self']!r}")
-
-
-def _validate_peer_only(problem, hp, schedule, problems):
+def _check_peer_only(problem, hp, schedule, problems):
     """Without its own model an agent aggregates its downloads alone, so it
     needs a download budget and at least one other agent in every round."""
     if hp["include_self"] is not False:
@@ -321,7 +363,7 @@ def _validate_peer_only(problem, hp, schedule, problems):
     if hp["download_budget"] == 0:
         problems.append("hyperparams.include_self: false needs "
                         "hyperparams.download_budget >= 1, got 0")
-    if problem["kind"] == "learner":
+    if "n_agents" in problem:
         n_agents = problem["n_agents"]
     else:
         n_agents, centers = problem["n_per_cluster"], problem["centers"]
@@ -344,24 +386,3 @@ def _warn_on_overshoot(hp):
     if factor > 1:
         log.warning("hyperparams: contraction factor consensus_drift * step_size = %g "
                     "> 1; aggregation overshoots the consensus point", factor)
-
-
-def _validate_schedule(schedule, problems):
-    _require_number("schedule", "rounds", schedule["rounds"], problems,
-                    minimum=0, integer=True)
-    _require_number("schedule", "t_steps", schedule["t_steps"], problems,
-                    minimum=1, integer=True)
-    _require_number("schedule", "participation", schedule["participation"], problems,
-                    minimum=0, strict=True)
-    p = schedule["participation"]
-    if _is_finite_number(p) and p > 1:
-        problems.append("schedule.participation: must be <= 1")
-    _require_number("schedule", "record_every", schedule["record_every"], problems,
-                    minimum=1, integer=True)
-    if not isinstance(schedule["n_list"], list) or not schedule["n_list"]:
-        problems.append("schedule.n_list: expected a nonempty list")
-    else:
-        for n in schedule["n_list"]:
-            _require_number("schedule", "n_list", n, problems, minimum=1, integer=True)
-    for key in ("n_projections", "n_checkpoints"):
-        _require_number("schedule", key, schedule[key], problems, minimum=1, integer=True)

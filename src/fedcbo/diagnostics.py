@@ -101,7 +101,7 @@ class MeanFieldScan:
 
 
 def meanfield_scan(problem, hp, n_list, seeds, t_steps, init=None,
-                   n_projections=64, n_checkpoints=20, projection_seed=0):
+                   n_projections=64, n_checkpoints=20):
     """Compare finite-population runs against the largest population.
 
     For each seed, every population size in ``n_list`` is integrated on a
@@ -122,7 +122,7 @@ def meanfield_scan(problem, hp, n_list, seeds, t_steps, init=None,
     ))
     projections = make_projections(
         problem.dim, n_projections,
-        rng_mod.stream(projection_seed, rng_mod.PROJECTION),
+        rng_mod.stream(0, rng_mod.PROJECTION),
     )
 
     per_seed = np.zeros((len(seeds), len(n_list)))

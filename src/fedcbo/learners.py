@@ -358,11 +358,6 @@ class ClusteredDataset:
     test_sets: list              # per cluster: (x, y)
 
     @property
-    def shards(self):
-        """Per agent: (x, y), views into the stacked arrays."""
-        return list(zip(self.x, self.y))
-
-    @property
     def n_agents(self):
         return len(self.x)
 
@@ -373,9 +368,6 @@ class ClusteredDataset:
     @property
     def input_dim(self):
         return self.x.shape[2]
-
-    def cluster_sizes(self):
-        return np.bincount(self.agent_cluster, minlength=self.n_clusters)
 
 
 def rotation_matrix(angle, dim):

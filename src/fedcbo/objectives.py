@@ -2,9 +2,9 @@
 
 Each objective carries its minimizer and curvature metadata so simulations
 can report distance-to-optimum and check the contraction condition.  Raw
-gradients are rescaled onto a norm ball of radius ``grad_bound``; inside
-``clamp_free_radius`` of the minimizer the clamp is inactive and the
-gradient is exact.
+gradients are rescaled onto a norm ball of radius ``grad_bound``; where the
+raw gradient lies inside that ball the clamp is inactive and the gradient is
+exact.
 """
 
 from dataclasses import dataclass, field
@@ -45,11 +45,8 @@ class Objective:
     eval_many: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     grad_many: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     minimizer: Optional[np.ndarray] = None
-    min_value: Optional[float] = None
     grad_bound: float = DEFAULT_GRAD_BOUND
     grad_lipschitz: Optional[float] = None
-    clamp_free_radius: Optional[float] = None
-    name: str = ""
 
     def losses(self, positions):
         """Evaluate on every row of an (n, dim) array."""
@@ -89,11 +86,8 @@ def make_quadratic(dim, center, scale=1.0, grad_bound=DEFAULT_GRAD_BOUND):
         eval_many=_eval_many,
         grad_many=_grad_many,
         minimizer=center,
-        min_value=0.0,
         grad_bound=grad_bound,
         grad_lipschitz=2.0 * scale,
-        clamp_free_radius=grad_bound / (2.0 * scale),
-        name=f"quadratic(scale={scale})",
     )
 
 
@@ -109,19 +103,13 @@ def make_rastrigin(dim, center, grad_bound=DEFAULT_GRAD_BOUND):
         x = positions - center
         return _clamp_rows(2.0 * x + 20.0 * np.pi * np.sin(2.0 * np.pi * x), grad_bound)
 
-    # Per coordinate |g_i| <= 2r + 20*pi, so staying within this radius of the
-    # minimizer keeps the full gradient norm under grad_bound.
-    radius = max(0.0, (grad_bound / np.sqrt(dim) - 20.0 * np.pi) / 2.0)
     return Objective(
         dim=dim,
         eval_many=_eval_many,
         grad_many=_grad_many,
         minimizer=center,
-        min_value=0.0,
         grad_bound=grad_bound,
         grad_lipschitz=2.0 + 40.0 * np.pi**2,
-        clamp_free_radius=radius,
-        name="rastrigin",
     )
 
 
@@ -152,19 +140,6 @@ class BenchmarkProblem:
     @property
     def minimizers(self):
         return np.stack([o.minimizer for o in self.objectives])
-
-    @property
-    def separation(self):
-        """Smallest pairwise distance between cluster minimizers."""
-        mins = self.minimizers
-        if len(mins) == 1:
-            return 0.0
-        dists = [
-            float(np.linalg.norm(mins[i] - mins[j]))
-            for i in range(len(mins))
-            for j in range(i + 1, len(mins))
-        ]
-        return min(dists)
 
     @property
     def max_grad_lipschitz(self):

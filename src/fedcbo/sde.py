@@ -14,71 +14,15 @@ isotropic Gaussian, so noise vanishes as the cloud reaches consensus.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import rng as rng_mod
+from .config import HyperParams, InitSpec
 from .consensus import consensus_point
 from .errors import DivergenceError, InvalidParameterError
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Dynamics and protocol knobs shared by the simulator and the protocol.
-
-    consensus_drift / grad_drift are the drift rates toward the consensus
-    point and down the local gradient; consensus_noise / grad_noise scale
-    the matching noise terms.  local_steps and download_budget only matter
-    for the round-based protocol.
-    """
-
-    consensus_drift: float = 1.0
-    grad_drift: float = 0.0
-    consensus_noise: float = 0.0
-    grad_noise: float = 0.0
-    alpha: float = 10.0
-    step_size: float = 0.1
-    local_steps: int = 1
-    download_budget: int = 0
-    eps_start: float = 0.5
-    eps_decay: float = 0.01
-    eps_floor: float = 0.1
-    momentum: float = 0.0
-    batch_size: Optional[int] = None
-    include_self: bool = True
-
-    def __post_init__(self):
-        problems = []
-        for name in ("consensus_drift", "grad_drift", "consensus_noise", "grad_noise"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} must be >= 0")
-        if self.alpha <= 0:
-            problems.append("alpha must be > 0")
-        if self.step_size <= 0:
-            problems.append("step_size must be > 0")
-        if self.local_steps < 0:
-            problems.append("local_steps must be >= 0")
-        if self.download_budget < 0:
-            problems.append("download_budget must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            problems.append("momentum must be in [0, 1)")
-        if problems:
-            raise InvalidParameterError("; ".join(problems))
-
-    def contraction_margin(self, grad_lipschitz, dim):
-        """2*l1 - (2*l2*M + d*s1^2 + d*s2^2*M^2); positive means contraction."""
-        m = float(grad_lipschitz)
-        return (
-            2.0 * self.consensus_drift
-            - 2.0 * self.grad_drift * m
-            - dim * self.consensus_noise**2
-            - dim * self.grad_noise**2 * m * m
-        )
-
-    def theory_regime(self, grad_lipschitz, dim):
-        return self.contraction_margin(grad_lipschitz, dim) > 0.0
 
 
 def epsilon_for_round(hp, round_idx):
@@ -86,18 +30,6 @@ def epsilon_for_round(hp, round_idx):
     if round_idx < 0:
         raise InvalidParameterError(f"round index must be >= 0, got {round_idx}")
     return max(hp.eps_start - hp.eps_decay * round_idx, hp.eps_floor)
-
-
-@dataclass(frozen=True)
-class InitSpec:
-    """Isotropic Gaussian initialization  N(mean, std^2 I)."""
-
-    std: float = 1.0
-    mean: float = 0.0
-
-    def __post_init__(self):
-        if self.std <= 0:
-            raise InvalidParameterError(f"init std must be > 0, got {self.std}")
 
 
 @dataclass

@@ -4,12 +4,13 @@ canonical hashing, and file loading."""
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from fedcbo.config import (DEFAULT_HYPERPARAMS, canonical_json, config_hash,
                            load_config, resolve_config)
-from fedcbo.errors import ConfigError
-from fedcbo.sde import HyperParams
+from fedcbo.errors import ConfigError, InvalidParameterError
+from fedcbo.sde import HyperParams, InitSpec
 
 
 def test_empty_config_resolves_to_defaults():
@@ -319,3 +320,109 @@ def test_unusable_learner_fields_and_peer_only_aggregation_exit_2(tmp_path, caps
                                 "schedule": {"participation": 0.4, "rounds": 2},
                                 "seeds": [0]}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "ok")]) == 0
+
+
+INTEGER_FIELDS = [
+    ("problem", "hidden"), ("problem", "n_clusters"), ("problem", "n_agents"),
+    ("problem", "n_per_agent"), ("problem", "n_test"), ("problem", "n_classes"),
+    ("problem", "input_dim"), ("problem", "data_seed"),
+    ("benchmark", "dim"), ("benchmark", "n_per_cluster"),
+    ("hyperparams", "local_steps"), ("hyperparams", "download_budget"),
+    ("hyperparams", "batch_size"),
+    ("schedule", "rounds"), ("schedule", "t_steps"), ("schedule", "record_every"),
+    ("schedule", "n_list"), ("schedule", "n_projections"), ("schedule", "n_checkpoints"),
+]
+
+
+@pytest.mark.parametrize("section,field", INTEGER_FIELDS)
+def test_integral_float_in_an_integer_field_exits_2(tmp_path, capsys, section, field):
+    # 5.0 used to pass validation, and most such fields then crashed in
+    # NumPy or range with a traceback.
+    from fedcbo.cli import main
+
+    value = [5.0] if field == "n_list" else 5.0
+    if section == "benchmark":
+        raw = {"problem": {"kind": "benchmark", field: value}}
+        section = "problem"
+    else:
+        raw = {section: {field: value}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(raw, seeds=[0])))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: {section}.{field}: expected an integer, got 5.0"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,value", [
+    ("problem", [1]), ("hyperparams", [1]), ("schedule", "x"), ("output", 5),
+])
+def test_a_section_that_is_not_an_object_exits_2_with_every_other_problem(
+        tmp_path, capsys, section, value):
+    from fedcbo.cli import main
+
+    raw = {"hyperparams": {"alpha": -1.0}, "schedule": {"rounds": -1}, "seeds": [0]}
+    raw[section] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    others = ["hyperparams.alpha: must be > 0, got -1.0",
+              "schedule.rounds: must be >= 0, got -1"]
+    expected = [f"{section}: expected an object"] + [
+        problem for problem in others if not problem.startswith(section)]
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: {problem}" for problem in expected]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", ["problem", "hyperparams", "schedule", "output"])
+def test_a_null_section_takes_every_default(section):
+    assert resolve_config({section: None}).resolved() == resolve_config({}).resolved()
+
+
+HYPERPARAM_REJECTS = {
+    "consensus_drift": -1.0, "grad_drift": -0.5, "consensus_noise": float("nan"),
+    "grad_noise": "x", "alpha": float("inf"), "step_size": float("nan"),
+    "local_steps": 2.5, "download_budget": 1.5, "eps_start": 1.5, "eps_decay": -0.1,
+    "eps_floor": 1.2, "momentum": 1.5, "batch_size": 0, "include_self": "no",
+}
+
+
+def test_every_hyperparams_field_has_a_rejected_case():
+    assert sorted(HYPERPARAM_REJECTS) == sorted(DEFAULT_HYPERPARAMS)
+
+
+@pytest.mark.parametrize("field", sorted(HYPERPARAM_REJECTS))
+def test_hyperparams_and_the_config_reject_the_same_value_alike(field):
+    value = HYPERPARAM_REJECTS[field]
+    with pytest.raises(ConfigError) as config_err:
+        resolve_config({"hyperparams": {field: value}})
+    with pytest.raises(InvalidParameterError) as hp_err:
+        HyperParams(**{field: value})
+    assert str(hp_err.value).startswith(f"{field}: ")
+    assert config_err.value.problems == [f"hyperparams.{hp_err.value}"]
+
+
+def test_hyperparams_and_init_spec_accept_numpy_scalars_and_reject_bools():
+    hp = HyperParams(local_steps=np.int64(3), download_budget=np.int32(2),
+                     alpha=np.float64(5.0), batch_size=np.int64(4))
+    assert hp.local_steps == 3
+    with pytest.raises(InvalidParameterError, match="local_steps: expected a finite number"):
+        HyperParams(local_steps=True)
+    assert InitSpec(std=np.float32(2.0)).std == 2.0
+    with pytest.raises(InvalidParameterError, match="std: expected a finite number, got inf"):
+        InitSpec(std=float("inf"))
+    with pytest.raises(InvalidParameterError, match="mean: expected a finite number"):
+        InitSpec(mean="x")
+
+
+def test_an_integer_too_long_for_a_float_exits_2(tmp_path, capsys):
+    # math.isfinite raised OverflowError on it, a traceback with exit 1.
+    from fedcbo.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text('{"hyperparams": {"alpha": 1' + "0" * 400 + '}, "seeds": [0]}')
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: hyperparams.alpha: expected a finite number, got 1000")
+    assert not (tmp_path / "out").exists()

@@ -130,13 +130,13 @@ def test_dataset_layout_and_determinism():
     assert ds.n_agents == 4
     assert ds.n_clusters == 2
     assert np.array_equal(ds.agent_cluster, [0, 1, 0, 1])
-    assert ds.shards[0][0].shape == (10, 3)
+    assert ds.x[0].shape == (10, 3)
     assert ds.test_sets[0][0].shape == (400, 3)
-    assert list(ds.cluster_sizes()) == [2, 2]
+    assert list(np.bincount(ds.agent_cluster, minlength=ds.n_clusters)) == [2, 2]
 
     again = generate_clustered_data(n_clusters=2, n_agents=4, n_per_agent=10,
                                     input_dim=3, n_classes=2, seed=0)
-    for (xa, ya), (xb, yb) in zip(ds.shards, again.shards):
+    for xa, ya, xb, yb in zip(ds.x, ds.y, again.x, again.y):
         assert np.array_equal(xa, xb)
         assert np.array_equal(ya, yb)
 

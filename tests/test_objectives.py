@@ -62,9 +62,7 @@ def test_quadratic_value_and_gradient_at_hand_points():
 
 def test_quadratic_metadata():
     obj = make_quadratic(3, np.zeros(3), scale=1.5)
-    assert obj.min_value == 0.0
     assert obj.grad_lipschitz == 3.0
-    assert obj.clamp_free_radius == obj.grad_bound / 3.0
 
 
 def test_quadratic_batch_matches_scalar_loop():
@@ -129,7 +127,7 @@ def test_gradient_clamp_engages_far_from_minimizer():
 def test_clamp_is_inactive_inside_free_radius():
     obj = make_quadratic(2, np.zeros(2), grad_bound=10.0)
     x = np.array([2.0, 1.0])  # inside radius 5, raw grad norm ~4.5
-    assert np.linalg.norm(x) < obj.clamp_free_radius
+    assert np.linalg.norm(x) < 5.0  # = grad_bound / (2 * scale)
     assert np.array_equal(grad_at(obj, x), 2.0 * x)
 
 
@@ -147,7 +145,6 @@ def test_well_problem_geometry():
     assert prob.n_clusters == 2
     assert prob.dim == 2
     assert np.allclose(prob.minimizers, [[2.0, 2.0], [-2.0, -2.0]])
-    assert abs(prob.separation - 4.0 * np.sqrt(2.0)) < 1e-12
     assert prob.max_grad_lipschitz == 2.0
 
 
@@ -168,8 +165,3 @@ def test_problem_requires_minimizer_metadata():
                      grad_many=lambda p: np.zeros_like(p))
     with pytest.raises(InvalidParameterError):
         BenchmarkProblem(objectives=(bare,))
-
-
-def test_single_objective_problem_has_zero_separation():
-    prob = BenchmarkProblem(objectives=(make_quadratic(2, np.zeros(2)),))
-    assert prob.separation == 0.0
