@@ -131,12 +131,12 @@ def _per_agent_accuracy(setup, models):
 def _best_loss_accuracy(setup, candidates):
     """For each cluster distribution, accuracy of the candidate model with
     the smallest test loss (the evaluation rule for global-model baselines)."""
+    stack = np.stack(candidates)
     per_cluster = []
     for k in range(setup.n_clusters):
         x, y = setup.dataset.test_sets[k]
-        losses = [setup.model_arch.loss(m, x, y) for m in candidates]
-        best = int(np.argmin(losses))
-        per_cluster.append(accuracy(setup.model_arch, candidates[best], x, y))
+        best = int(np.argmin(setup.model_arch.loss(stack, x, y)))
+        per_cluster.append(accuracy(setup.model_arch, stack[best], x, y))
     return per_cluster
 
 

@@ -11,6 +11,7 @@ explicit backprop; parameters travel as flat vectors so the consensus
 machinery can treat them as points in R^d.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +21,47 @@ from .errors import InvalidParameterError
 from .objectives import DEFAULT_GRAD_BOUND, _clamp_rows
 
 
+# Batched kernels walk the agents in blocks sized so that their largest
+# temporary holds about this many doubles (1 MiB); this bounds the extra
+# memory of a round whatever the number of agents.  It also caps each
+# buffer of a model's workspace.
+BLOCK_DOUBLES = 1 << 17
+
+
+class _Workspace:
+    """A model's scratch memory: one flat, grow-only buffer per name, sliced
+    and reshaped to each request.  Reusing it across steps and rounds spares
+    the allocator the block-sized arrays it would otherwise free and fault
+    back in at every step.  A buffer never holds more than BLOCK_DOUBLES
+    doubles; a larger request gets a fresh temporary.  A view it hands out
+    is valid until the next request under the same name, so nothing a model
+    returns may be such a view."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, name, shape):
+        size = math.prod(shape)
+        if size > BLOCK_DOUBLES:
+            return np.empty(shape)
+        flat = self.buffers.get(name)
+        if flat is None or flat.size < size:
+            flat = self.buffers[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
 def _softmax(logits):
+    """Softmax over the last axis, computed in place of ``logits``."""
     # A running maximum over the few class columns is much faster than a max
     # reduction over a short last axis.  It can differ from that reduction
     # only in the sign of a zero, which exp() does not see.
     top = logits[..., :1].copy()
     for k in range(1, logits.shape[-1]):
         np.maximum(top, logits[..., k:k + 1], out=top)
-    e = np.exp(logits - top)
-    return e / e.sum(axis=-1, keepdims=True)
+    logits -= top
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _label_index(probs, labels):
@@ -109,6 +142,12 @@ class MlpModel:
     params = [W1.ravel(), b1, W2.ravel(), b2].  Activation is tanh by
     default; relu is available for parity with larger setups.  Shapes
     broadcast as for ``LogisticModel``.
+
+    The hidden layer, the logits and the back-propagated error live in a
+    workspace owned by the instance and reused from call to call, at most
+    BLOCK_DOUBLES doubles per buffer (about 3 MiB in all).  Every array a
+    method returns is fresh and never shares memory with it.  So one
+    instance must not run two calls at once, for example from two threads.
     """
 
     def __init__(self, input_dim, hidden, n_classes, activation="tanh"):
@@ -120,6 +159,7 @@ class MlpModel:
         self.activation = activation
         self.n_params = input_dim * hidden + hidden + hidden * n_classes + n_classes
         self.width = max(input_dim, hidden, n_classes)
+        self._workspace = _Workspace()
 
     def init_params(self, rng, scale=None):
         d, h, c = self.input_dim, self.hidden, self.n_classes
@@ -142,31 +182,43 @@ class MlpModel:
         return w1, b1, w2, b2
 
     def _forward(self, theta, x):
+        """(hidden layer, logits), both views into the workspace."""
         w1, b1, w2, b2 = self._unpack(theta)
-        pre = x @ w1 + b1[..., None, :]
-        hid = np.tanh(pre) if self.activation == "tanh" else np.maximum(pre, 0.0)
-        return pre, hid, hid @ w2 + b2[..., None, :]
+        lead = np.broadcast_shapes(x.shape[:-2], w1.shape[:-2]) + x.shape[-2:-1]
+        hid = np.matmul(x, w1, out=self._workspace.take("hid", lead + (self.hidden,)))
+        hid += b1[..., None, :]
+        if self.activation == "tanh":
+            np.tanh(hid, out=hid)
+        else:
+            np.maximum(hid, 0.0, out=hid)
+        logits = np.matmul(hid, w2, out=self._workspace.take("logits", lead + (self.n_classes,)))
+        logits += b2[..., None, :]
+        return hid, logits
 
     def logits(self, theta, x):
-        return self._forward(theta, x)[2]
+        return self._forward(theta, x)[1].copy()
 
     def loss(self, theta, x, y):
-        return _cross_entropy(_softmax(self.logits(theta, x)), y)
+        return _cross_entropy(_softmax(self._forward(theta, x)[1]), y)
 
     def loss_grad(self, theta, x, y):
         w1, b1, w2, b2 = self._unpack(theta)
         lead = theta.shape[:-1]
-        pre, hid, logits = self._forward(theta, x)
+        hid, logits = self._forward(theta, x)
         probs = _softmax(logits)
         loss = _cross_entropy(probs, y)
         delta = _output_delta(probs, y)
         grad_w2 = _t(hid) @ delta
         grad_b2 = delta.sum(axis=-2)
-        back = delta @ _t(w2)
+        back = np.matmul(delta, _t(w2), out=self._workspace.take("back", hid.shape))
         if self.activation == "tanh":
-            back = back * (1.0 - hid * hid)
+            # 1 - hid**2, in place of hid now that grad_w2 has read it.
+            np.multiply(hid, hid, out=hid)
+            np.subtract(1.0, hid, out=hid)
+            back *= hid
         else:
-            back = back * (pre > 0.0)
+            # hid > 0 exactly where the pre-activation is > 0, NaN and -0 included.
+            back *= hid > 0.0
         grad_w1 = _t(x) @ back
         grad_b1 = back.sum(axis=-2)
         return loss, np.concatenate(
@@ -201,6 +253,8 @@ def local_sgd(model, thetas, x, y, steps, rate, streams, batch_size=None,
     step's mini-batch without replacement from ``streams[r]``, step after
     step, exactly as a one-model call on that stream would.  The momentum
     buffer is local to the call.  Returns the trained (b, n_params) copy.
+    Every step's forward and backward pass reuses the model's workspace, so
+    the steps allocate only parameter-sized arrays.
     """
     thetas = np.array(thetas, dtype=float)
     n = x.shape[-2]
@@ -248,12 +302,6 @@ class ShardTask:
                          momentum=self.momentum, grad_bound=self.grad_bound)[0]
 
 
-# Batched kernels walk the agents in blocks sized so that their largest
-# temporary holds about this many doubles (1 MiB); this bounds the extra
-# memory of a round whatever the number of agents.
-BLOCK_DOUBLES = 1 << 17
-
-
 def agent_blocks(n_agents, per_agent):
     """Consecutive slices covering ``n_agents`` agents, each of at most
     BLOCK_DOUBLES // per_agent agents (``per_agent``: doubles per agent)."""
@@ -264,7 +312,12 @@ def agent_blocks(n_agents, per_agent):
 class ShardTasks:
     """Every agent's local training and loss over shards stacked as
     x (A, n, d), y (A, n): the batched kernels over blocks of agents, equal
-    bit for bit to each agent's ShardTask."""
+    bit for bit to each agent's ShardTask.
+
+    A block of agents whose ids form one ascending run, as under full
+    participation, reads its shards as a view of the stack rather than a
+    copy.  With the model's workspace, a round then allocates little more
+    than its results."""
 
     def __init__(self, model, x, y, batch_size=None, momentum=0.0,
                  grad_bound=DEFAULT_GRAD_BOUND):
@@ -274,12 +327,19 @@ class ShardTasks:
     def __len__(self):
         return len(self.x)
 
+    def _shards(self, ids):
+        """x[ids], y[ids]: views when ``ids`` is one ascending run."""
+        if len(ids) and (np.diff(ids) == 1).all():
+            ids = slice(ids[0], ids[-1] + 1)
+        return self.x[ids], self.y[ids]
+
     def train(self, thetas, agents, steps, rate, streams):
         """Train agents[r] from thetas[r] on its own shard and stream."""
         out = np.empty_like(thetas)
         for block in agent_blocks(len(agents), self.x.shape[1] * self.model.width):
             ids = agents[block]
-            out[block] = local_sgd(self.model, thetas[block], self.x[ids], self.y[ids],
+            x, y = self._shards(ids)
+            out[block] = local_sgd(self.model, thetas[block], x, y,
                                    steps, rate, [streams[j] for j in ids],
                                    batch_size=self.batch_size, momentum=self.momentum,
                                    grad_bound=self.grad_bound)
@@ -290,9 +350,8 @@ class ShardTasks:
         k = candidates.shape[1]
         out = np.empty(candidates.shape[:2])
         for block in agent_blocks(len(agents), k * self.x.shape[1] * self.model.width):
-            ids = agents[block]
-            out[block] = self.model.loss(candidates[block], self.x[ids, None],
-                                         self.y[ids, None])
+            x, y = self._shards(agents[block])
+            out[block] = self.model.loss(candidates[block], x[:, None], y[:, None])
         return out
 
 

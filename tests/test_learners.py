@@ -1,13 +1,16 @@
 """Models, gradients, local training, and the synthetic clustered dataset."""
 
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+from fedcbo import rng as rng_mod
 from fedcbo.errors import InvalidParameterError
-from fedcbo.learners import (ShardTask, accuracy, generate_clustered_data,
-                             make_model, predict, rotation_matrix)
+from fedcbo.learners import (MlpModel, ShardTask, ShardTasks, accuracy,
+                             generate_clustered_data, make_model, predict, rotation_matrix)
 
 
 def small_data(n=12, dim=3, n_classes=3, seed=0):
@@ -113,6 +116,37 @@ def test_shard_task_loss_is_deterministic_full_shard():
     task = ShardTask(model, x, y, batch_size=4)
     theta = np.zeros(model.n_params)
     assert task.loss(theta) == model.loss(theta, x, y)
+
+
+def traced_peak(call):
+    """Peak bytes traced (NumPy reports its data buffers) while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel", ["train", "losses"])
+def test_repeated_training_and_scoring_allocate_less_than_a_mebibyte(kernel):
+    # 40 agents fit one block of the 2^17-double bound, so before the model
+    # kept a workspace each call held several block-sized temporaries at once.
+    agents, n, d, h, c = 40, 100, 16, 16, 4
+    gen = np.random.default_rng(0)
+    model = MlpModel(d, h, c)
+    tasks = ShardTasks(model, gen.standard_normal((agents, n, d)),
+                       gen.integers(0, c, size=(agents, n)), momentum=0.9)
+    ids = np.arange(agents)
+    if kernel == "train":
+        thetas = 0.3 * gen.standard_normal((agents, model.n_params))
+        streams = rng_mod.agent_streams(0, agents)
+        call = partial(tasks.train, thetas, ids, 5, 0.1, streams)
+    else:
+        candidates = 0.3 * gen.standard_normal((agents, 11, model.n_params))
+        call = partial(tasks.losses, ids, candidates)
+    call()   # warm-up: the workspace grows to its size here
+    assert traced_peak(call) < 1 << 20
 
 
 def test_rotation_matrix_geometry():

@@ -26,8 +26,8 @@ from fedcbo import sde
 from fedcbo.consensus import consensus_point
 from fedcbo.learners import (LogisticModel, MlpModel, ObjectiveTasks, ShardTask,
                              ShardTasks, local_sgd)
-from fedcbo.objectives import (_clamp_rows, make_centers_problem, make_quadratic,
-                               make_rastrigin)
+from fedcbo.objectives import (DEFAULT_GRAD_BOUND, _clamp_rows, make_centers_problem,
+                               make_quadratic, make_rastrigin)
 from fedcbo.protocol import _contract, fedcbo_round, greedy_sample, local_aggregation
 from fedcbo.sde import HyperParams, ParticleCloud, em_step, epsilon_for_round
 
@@ -79,17 +79,8 @@ def _ref_cross_entropy(probs, labels):
     return float(-np.mean(np.log(p)))
 
 
-def reference_loss_grad(model, theta, x, y):
-    n = x.shape[0]
-    if isinstance(model, LogisticModel):
-        d, c = model.input_dim, model.n_classes
-        w, b = theta[: d * c].reshape(d, c), theta[d * c:]
-        probs = _ref_softmax(x @ w + b)
-        loss = _ref_cross_entropy(probs, y)
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        return loss, np.concatenate([(x.T @ delta).ravel(), delta.sum(axis=0)])
+def reference_mlp_forward(model, theta, x):
+    """(W2, pre-activation, hidden layer, logits) of one MLP on x (n, d)."""
     d, h, c = model.input_dim, model.hidden, model.n_classes
     i = 0
     w1 = theta[i:i + d * h].reshape(d, h); i += d * h
@@ -98,11 +89,29 @@ def reference_loss_grad(model, theta, x, y):
     b2 = theta[i:]
     pre = x @ w1 + b1
     hid = np.tanh(pre) if model.activation == "tanh" else np.maximum(pre, 0.0)
-    probs = _ref_softmax(hid @ w2 + b2)
+    return w2, pre, hid, hid @ w2 + b2
+
+
+def reference_logits(model, theta, x):
+    if isinstance(model, LogisticModel):
+        d, c = model.input_dim, model.n_classes
+        return x @ theta[: d * c].reshape(d, c) + theta[d * c:]
+    return reference_mlp_forward(model, theta, x)[3]
+
+
+def reference_loss_grad(model, theta, x, y):
+    n = x.shape[0]
+    if isinstance(model, LogisticModel):
+        logits = reference_logits(model, theta, x)
+    else:
+        w2, pre, hid, logits = reference_mlp_forward(model, theta, x)
+    probs = _ref_softmax(logits)
     loss = _ref_cross_entropy(probs, y)
     delta = probs
     delta[np.arange(n), y] -= 1.0
     delta /= n
+    if isinstance(model, LogisticModel):
+        return loss, np.concatenate([(x.T @ delta).ravel(), delta.sum(axis=0)])
     back = delta @ w2.T
     back = back * (1.0 - hid * hid) if model.activation == "tanh" else back * (pre > 0.0)
     return loss, np.concatenate([(x.T @ back).ravel(), back.sum(axis=0),
@@ -256,6 +265,62 @@ def test_batched_training_equals_per_agent_reference(case, steps, momentum, grad
                      grad_bound=grad_bound)
     one_rng = rng_mod.agent_streams(seed, 1)[0]
     assert same_bits(task.train(start[0], steps, 0.1, one_rng), reference[0])
+
+
+def workspace_buffers(model):
+    workspace = getattr(model, "_workspace", None)
+    return list(workspace.buffers.values()) if workspace is not None else []
+
+
+@st.composite
+def workspace_case(draw):
+    """One model and three (b, k, n) stages: larger, smaller, larger again."""
+    kind = draw(st.sampled_from(["logistic", "mlp-tanh", "mlp-relu"]))
+    d, c = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    if kind == "logistic":
+        model = LogisticModel(d, c)
+    else:
+        model = MlpModel(d, draw(st.integers(1, 8)), c, activation=kind.split("-")[1])
+    large = st.tuples(st.integers(3, 5), st.integers(3, 5), st.integers(20, 40))
+    small = st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 19))
+    stages = [draw(large), draw(small), draw(large)]
+    return model, stages, draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(workspace_case(), st.sampled_from([0.0, 0.9]), st.integers(1, 45), st.integers(1, 3))
+def test_workspace_kernels_equal_reference_across_calls_of_changing_shape(
+        case, momentum, batch_size, steps):
+    model, stages, seed = case
+    gen = np.random.default_rng(seed)
+    kept = []   # (returned array, its value when returned)
+    for b, k, n in stages:
+        thetas = gen.standard_normal((b, k, model.n_params))
+        x = gen.standard_normal((b, n, model.input_dim))
+        y = gen.integers(0, model.n_classes, size=(b, n))
+        losses = model.loss(thetas, x[:, None], y[:, None])
+        loss, grads = model.loss_grad(thetas[:, 0], x, y)
+        logits = model.logits(thetas[:, 0], x)
+        streams = rng_mod.agent_streams(seed, b)
+        trained = local_sgd(model, thetas[:, 0], x, y, steps, 0.1, streams,
+                            batch_size=batch_size, momentum=momentum)
+        ref_streams = rng_mod.agent_streams(seed, b)
+        for r in range(b):
+            for m in range(k):
+                assert same_bits(losses[r, m],
+                                 reference_loss_grad(model, thetas[r, m], x[r], y[r])[0])
+            ref_loss, ref_grad = reference_loss_grad(model, thetas[r, 0], x[r], y[r])
+            assert same_bits(loss[r], ref_loss)
+            assert same_bits(grads[r], ref_grad)
+            assert same_bits(logits[r], reference_logits(model, thetas[r, 0], x[r]))
+            assert same_bits(trained[r], reference_train(
+                model, thetas[r, 0], x[r], y[r], steps, 0.1, ref_streams[r], batch_size,
+                momentum, DEFAULT_GRAD_BOUND))
+        results = [losses, loss, grads, logits, trained]
+        assert not any(np.shares_memory(a, buf)
+                       for a in results for buf in workspace_buffers(model))
+        kept += [(a, a.copy()) for a in results]
+    assert all(same_bits(a, before) for a, before in kept)
 
 
 # ---------------------------------------------------------------- analytic objectives
