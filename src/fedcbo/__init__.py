@@ -8,7 +8,7 @@ from .errors import ConfigError, DivergenceError, InvalidParameterError
 from .objectives import (BenchmarkProblem, Objective, make_quadratic,
                          make_rastrigin, make_well_problem)
 from .sde import (ParticleCloud, decay_exponent_fit, em_step, epsilon_for_round,
-                  make_cloud, run_sde)
+                  make_cloud, run_sde, run_sde_ensemble)
 
 __all__ = [
     "BenchmarkProblem", "ConfigError", "ConsensusPoint", "DivergenceError",
@@ -16,5 +16,5 @@ __all__ = [
     "ParticleCloud", "consensus_point",
     "consensus_point_for_agent", "decay_exponent_fit", "em_step",
     "epsilon_for_round", "make_cloud", "make_quadratic", "make_rastrigin",
-    "make_well_problem", "run_sde",
+    "make_well_problem", "run_sde", "run_sde_ensemble",
 ]

@@ -50,28 +50,39 @@ def consensus_point(positions, losses, alpha):
     if not np.isfinite(positions).all():
         raise InvalidParameterError("non-finite particle position")
 
-    shifted = losses - losses.min()
+    value, total = gibbs_mean(positions.T[:, None, :], losses[None], alpha)
+    return ConsensusPoint(value=value[:, 0], total_weight=float(total[0]),
+                          alpha=float(alpha))
+
+
+def gibbs_mean(pt, losses, alpha):
+    """Gibbs-weighted means of R clouds at once, without validation.
+
+    ``pt`` is a (d, R, N) coordinate-major array of R clouds of N particles
+    and ``losses`` their (R, N) losses.  Returns the (d, R) means, each
+    clipped onto its cloud's coordinate range, and the (R,) sums of the
+    shifted weights.  Every run is reduced along the particle axis on its
+    own, so a run's result does not depend on the other runs.
+    """
+    shifted = losses - losses.min(axis=-1, keepdims=True)
     weights = np.exp(-alpha * shifted)
-    total = float(np.add.reduce(weights))
-    # Coordinate-major view, contiguous when the caller keeps a (dim, n)
-    # cloud.  Both sums run in particle order: with one coordinate the
-    # 1-D reduce is the (n, 1) reduce; otherwise accumulate is sequential
-    # like the (n, dim) reduce over rows, in any memory layout.
-    pt = positions.T
+    total = np.add.reduce(weights, axis=-1)
+    # Both sums run in particle order: with one coordinate the 1-D reduce is
+    # the (n, 1) reduce; otherwise accumulate is sequential like the (n, dim)
+    # reduce over rows, in any memory layout.
     if pt.shape[0] == 1:
-        value = np.add.reduce(pt[0] * weights, keepdims=True) / total
+        value = np.add.reduce(pt[0] * weights, axis=-1)[None] / total
     else:
         weighted = pt * weights
-        value = np.add.accumulate(weighted, axis=1, out=weighted)[:, -1] / total
+        value = np.add.accumulate(weighted, axis=-1, out=weighted)[..., -1] / total
     # Min and max along the particle axis are exact except for the sign of
-    # a zero bound, which depends on the reduction order; take zero bounds
-    # the (n, dim) way.
-    lo, hi = pt.min(axis=1), pt.max(axis=1)
-    if not (lo.all() and hi.all()):
-        rows = np.ascontiguousarray(positions)
-        lo, hi = rows.min(axis=0), rows.max(axis=0)
-    value = np.clip(value, lo, hi)
-    return ConsensusPoint(value=value, total_weight=total, alpha=float(alpha))
+    # a zero bound, which depends on the reduction order; a run with a zero
+    # bound takes its bounds the (n, dim) way.
+    lo, hi = pt.min(axis=-1), pt.max(axis=-1)
+    for r in np.flatnonzero(~(lo.all(axis=0) & hi.all(axis=0))):
+        rows = np.ascontiguousarray(pt[:, r].T)
+        lo[:, r], hi[:, r] = rows.min(axis=0), rows.max(axis=0)
+    return np.clip(value, lo, hi), total
 
 
 def consensus_point_for_agent(own_id, own_model, downloads, evaluate, alpha,

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .errors import InvalidParameterError
-from .sde import InitSpec, run_sde
+from .sde import InitSpec, run_sde_ensemble
 
 log = logging.getLogger(__name__)
 
@@ -62,16 +62,30 @@ def sliced_w1(cloud_a, cloud_b, n_projections=64, rng=None, projections=None):
             if rng is None:
                 rng = rng_mod.stream(0, rng_mod.PROJECTION)
             projections = make_projections(dim, n_projections, rng)
-    qa = np.sort(projections @ a.T, axis=1)
-    qb = np.sort(projections @ b.T, axis=1)
+    return _sorted_w1(_sorted_projections(a, projections),
+                      _sorted_projections(b, projections),
+                      _quantile_grid(a.shape[0], b.shape[0]))
+
+
+def _sorted_projections(cloud, projections):
+    """Every direction's sorted projection of an (n, d) cloud, one row each."""
+    return np.sort(projections @ cloud.T, axis=1)
+
+
+def _quantile_grid(n, m):
+    """The shared step grid of two empirical quantile functions of sizes n
+    and m: each cell's sorted index into either cloud, and its width."""
     # Grid points in integer units of 1/(n*m); the cell (g[k], g[k+1]] reads
     # sorted value ceil(g[k+1]/m) - 1 of a and ceil(g[k+1]/n) - 1 of b.
-    n, m = a.shape[0], b.shape[0]
     grid = np.union1d(np.arange(n + 1) * m, np.arange(m + 1) * n)
     upper = grid[1:]
-    ia = (upper + m - 1) // m - 1
-    ib = (upper + n - 1) // n - 1
-    widths = np.diff(grid) / (n * m)
+    return (upper + m - 1) // m - 1, (upper + n - 1) // n - 1, np.diff(grid) / (n * m)
+
+
+def _sorted_w1(qa, qb, grid):
+    """Mean over directions of the 1-D W1 between sorted projections ``qa``
+    (n per row) and ``qb`` (m per row), on their (n, m) quantile grid."""
+    ia, ib, widths = grid
     return float(np.mean(np.abs(qa[:, ia] - qb[:, ib]) @ widths))
 
 
@@ -107,8 +121,12 @@ def meanfield_scan(problem, hp, n_list, seeds, t_steps, init=None,
     For each seed, every population size in ``n_list`` is integrated on a
     common time grid; the discrepancy of a run is the maximum over
     checkpoints of the cluster-averaged sliced-W1 distance to the reference
-    run (largest size, same seed).  Projection directions are drawn once and
-    reused for every comparison.
+    run (largest size, same seed).  All seeds of one size run as one
+    ``run_sde_ensemble``.  Projection directions are drawn once and reused
+    for every comparison; each (seed, checkpoint, cluster) cloud of every
+    size is projected and sorted once, and each pair of sizes' quantile
+    grid is built once, so every distance equals ``sliced_w1`` of the two
+    clouds bit for bit.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if len(n_list) < 1:
@@ -125,27 +143,29 @@ def meanfield_scan(problem, hp, n_list, seeds, t_steps, init=None,
         rng_mod.stream(0, rng_mod.PROJECTION),
     )
 
+    runs = {
+        n: run_sde_ensemble(problem, n, hp, t_steps, [_run_seed(seed, n) for seed in seeds],
+                            init=init, record_every=t_steps, checkpoint_steps=checkpoints)
+        for n in n_list
+    }
+    grids = {}
+    # The reference population against itself stays at distance 0.
     per_seed = np.zeros((len(seeds), len(n_list)))
-    for si, seed in enumerate(seeds):
-        results = {}
-        for n in n_list:
-            run_seed = int(np.random.SeedSequence(entropy=(int(seed), n))
-                           .generate_state(1, np.uint64)[0] >> 1)
-            results[n] = run_sde(problem, n, hp, t_steps, init=init,
-                                 seed=run_seed, record_every=t_steps,
-                                 checkpoint_steps=checkpoints)
-        ref = results[reference_size]
-        for ni, n in enumerate(n_list):
-            run = results[n]
-            worst = 0.0
-            for step in checkpoints:
-                vals = []
-                for k in range(problem.n_clusters):
-                    a = run.checkpoints[step][run.final_labels == k]
-                    b = ref.checkpoints[step][ref.final_labels == k]
-                    vals.append(sliced_w1(a, b, projections=projections))
-                worst = max(worst, float(np.mean(vals)))
-            per_seed[si, ni] = worst
+    for si in range(len(seeds)):
+        for step in checkpoints:
+            vals = [[] for _ in n_list[:-1]]
+            for k in range(problem.n_clusters):
+                ref = _cluster_cloud(runs[reference_size][si], step, k)
+                qb = _sorted_projections(ref, projections)
+                for ni, n in enumerate(n_list[:-1]):
+                    cloud = _cluster_cloud(runs[n][si], step, k)
+                    key = (cloud.shape[0], ref.shape[0])
+                    if key not in grids:
+                        grids[key] = _quantile_grid(*key)
+                    vals[ni].append(_sorted_w1(_sorted_projections(cloud, projections),
+                                               qb, grids[key]))
+            for ni, cluster_vals in enumerate(vals):
+                per_seed[si, ni] = max(per_seed[si, ni], float(np.mean(cluster_vals)))
 
     return MeanFieldScan(
         sizes=n_list,
@@ -153,6 +173,16 @@ def meanfield_scan(problem, hp, n_list, seeds, t_steps, init=None,
         mean_discrepancy=per_seed.mean(axis=0),
         per_seed=per_seed,
     )
+
+
+def _run_seed(seed, n):
+    """The run seed of population size ``n`` under scan seed ``seed``."""
+    return int(np.random.SeedSequence(entropy=(int(seed), n))
+               .generate_state(1, np.uint64)[0] >> 1)
+
+
+def _cluster_cloud(result, step, k):
+    return result.checkpoints[step][result.final_labels == k]
 
 
 def write_csv(path, header, rows):

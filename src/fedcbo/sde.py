@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .config import HyperParams, InitSpec
-from .consensus import consensus_point
+from .consensus import gibbs_mean
 from .errors import DivergenceError, InvalidParameterError
 
 
@@ -69,25 +69,40 @@ def make_cloud(problem, n_per_cluster, init, seed):
     return ParticleCloud(positions=positions, labels=labels, streams=streams)
 
 
-def cluster_consensus(positions, labels, problem, alpha, step=None):
+def cluster_consensus(positions, labels, problem, alpha, step=None, seeds=None):
     """Per-cluster consensus points, each over the whole cloud.
 
-    Losses that overflow to non-finite values mean the trajectory has
-    diverged even while positions are still representable, so that case
-    raises DivergenceError rather than a validation error.
+    ``positions`` holds the (N, d) rows of one cloud, which gives (K, d)
+    points, or the (R, N, d) rows of R clouds sharing ``labels``, which
+    gives (R, K, d) points, each run's equal to its own cloud's.  Losses
+    that overflow to non-finite values mean the trajectory has diverged even
+    while positions are still representable, so that case raises
+    DivergenceError, naming the run's entry of ``seeds`` if given.
     """
-    points = np.empty((problem.n_clusters, positions.shape[1]))
+    batch = positions.reshape((-1,) + positions.shape[-2:])
+    runs, n, dim = batch.shape
+    rows, pt = batch.reshape(-1, dim), batch.transpose(2, 0, 1)
+    points = np.empty((runs, problem.n_clusters, dim))
     for k, objective in enumerate(problem.objectives):
-        losses = objective.losses(positions)
-        if not np.isfinite(losses).all():
-            bad = int(np.flatnonzero(~np.isfinite(losses))[0])
-            raise DivergenceError(
-                f"loss of particle {bad} became non-finite"
-                + (f" at step {step}" if step is not None else ""),
-                step=step, index=bad,
-            )
-        points[k] = consensus_point(positions, losses, alpha).value
-    return points
+        losses = objective.losses(rows).reshape(runs, n)
+        finite = np.isfinite(losses)
+        if not finite.all():
+            raise _divergence("loss of particle", ~finite, step, seeds)
+        points[:, k] = gibbs_mean(pt, losses, alpha)[0].T
+    return points.reshape(positions.shape[:-2] + points.shape[1:])
+
+
+def _divergence(what, bad, step, seeds):
+    """DivergenceError for the first (run, particle) set in the (R, N) mask
+    ``bad``, runs in order."""
+    run, index = (int(i) for i in np.argwhere(bad)[0])
+    message = f"{what} {index}"
+    if seeds is not None:
+        message += f" (seed {seeds[run]})"
+    message += " became non-finite"
+    if step is not None:
+        message += f" at step {step}"
+    return DivergenceError(message, step=step, index=index)
 
 
 def _clusters(labels, n_clusters):
@@ -105,54 +120,65 @@ def _clusters(labels, n_clusters):
     return out
 
 
-def _rows(pt):
-    """The (N, d) rows of a (d, N) cloud, for the functions that take one
-    particle per row.  Up to d = 2 the transposed view gives them the bits
-    of a C-ordered array; from d = 3 their einsum and row sums would add in
-    another order on it, so they get a C-ordered copy."""
-    return pt.T if pt.shape[0] <= 2 else np.ascontiguousarray(pt.T)
+def _rows(x):
+    """The (M, d) rows of a coordinate-major (d, ...) array, one particle per
+    row, for the functions that take them.  Up to d = 2 the transposed view
+    gives them the bits of a C-ordered array; from d = 3 their einsum and
+    row sums would add in another order on it, so they get a C-ordered
+    copy."""
+    rows = x.reshape(x.shape[0], -1).T
+    return rows if x.shape[0] <= 2 else np.ascontiguousarray(rows)
+
+
+def _run_rows(pt):
+    """The (R, N, d) rows of a (d, R, N) ensemble, as ``_rows`` gives them."""
+    return _rows(pt).reshape(pt.shape[1:] + pt.shape[:1])
 
 
 def _row_norms(x):
-    """Norm of every column of a (d, n) array, bit for bit
-    ``np.linalg.norm(rows, axis=1)`` of its C-ordered (n, d) rows: NumPy
-    adds fewer than 8 terms in order and 8 or more pairwise."""
+    """Norm over the leading (coordinate) axis of a (d, ...) array, bit for
+    bit ``np.linalg.norm(rows, axis=1)`` of its C-ordered rows: NumPy adds
+    fewer than 8 terms in order and 8 or more pairwise."""
     if x.shape[0] >= 8:
-        return np.linalg.norm(np.ascontiguousarray(x.T), axis=1)
+        return np.linalg.norm(_rows(x), axis=1).reshape(x.shape[1:])
     total = x[0] * x[0]
     for row in x[1:]:
         total += row * row
     return np.sqrt(total, out=total)
 
 
-def _step(pt, labels, clusters, problem, hp, noise, step, consensus=None):
-    """One Euler update of a (d, N) cloud; returns the new (d, N) cloud.
+def _noisy(hp):
+    return hp.consensus_noise > 0 or hp.grad_noise > 0
 
-    ``noise`` is the step's (2, d, N) normal block (z, then z~) or None;
-    ``consensus`` passes in the step's consensus points when a record has
-    already computed them.  Run under ``np.errstate(over="ignore",
+
+def _step(pt, labels, clusters, problem, hp, noise, step, seeds=None, consensus=None):
+    """One Euler update of a (d, R, N) ensemble; returns the new ensemble.
+
+    ``noise`` is the step's (2, d, R, N) normal block (z, then z~) or None;
+    ``consensus`` passes in the step's (R, K, d) consensus points when a
+    record has already computed them.  Run under ``np.errstate(over="ignore",
     invalid="ignore")``: overflow is caught by the explicit finiteness
     checks.
     """
     g = hp.step_size
-    rows = _rows(pt)
     if consensus is None:
-        consensus = cluster_consensus(rows, labels, problem, hp.alpha, step=step)
+        consensus = cluster_consensus(_run_rows(pt), labels, problem, hp.alpha, step,
+                                      seeds)
     new = np.empty_like(pt)
     for k, (objective, sel) in enumerate(zip(problem.objectives, clusters)):
         if sel is None:
             continue
-        theta = pt[:, sel]
-        to_consensus = theta - consensus[k][:, None]
-        grads = objective.gradients(rows[sel]).T
+        theta = pt[..., sel]
+        to_consensus = theta - consensus[:, k].T[..., None]
+        grads = objective.gradients(_rows(theta)).T.reshape(theta.shape)
         drift = theta - hp.consensus_drift * g * to_consensus - hp.grad_drift * g * grads
         if noise is None:
-            new[:, sel] = drift
+            new[..., sel] = drift
             continue
-        new[:, sel] = (
+        new[..., sel] = (
             drift
-            + hp.consensus_noise * np.sqrt(g) * _row_norms(to_consensus) * noise[0][:, sel]
-            + hp.grad_noise * np.sqrt(g) * _row_norms(grads) * noise[1][:, sel]
+            + hp.consensus_noise * np.sqrt(g) * _row_norms(to_consensus) * noise[0][..., sel]
+            + hp.grad_noise * np.sqrt(g) * _row_norms(grads) * noise[1][..., sel]
         )
     return new
 
@@ -178,23 +204,18 @@ def _draw_noise(streams, out):
     return out
 
 
-def _check_finite(pt, step):
+def _check_finite(pt, step, seeds=None):
     finite = np.isfinite(pt)
-    if finite.all():
-        return
-    bad = int(np.flatnonzero(~finite.all(axis=0))[0])
-    raise DivergenceError(
-        f"particle {bad} became non-finite at step {step}",
-        step=step,
-        index=bad,
-    )
+    if not finite.all():
+        raise _divergence("particle", ~finite.all(axis=0), step, seeds)
 
 
 def em_step(cloud, problem, hp):
     """One Euler-Maruyama step; returns a new cloud, streams advanced.
 
-    Each particle always consumes one (2, dim) normal draw from its stream,
-    so noiseless and noisy runs stay stream-aligned.
+    This is the one-run case of the step ``run_sde`` takes.  Each particle
+    consumes one (2, dim) normal draw from its stream when a noise scale is
+    positive and none when both are 0, as in ``run_sde``.
     """
     if cloud.dim != problem.dim:
         raise InvalidParameterError(
@@ -207,14 +228,17 @@ def em_step(cloud, problem, hp):
             f"the problem's {problem.n_clusters} clusters"
         )
     step = cloud.step_count + 1
-    noise = _draw_noise(cloud.streams, np.empty((1, 2, cloud.dim, cloud.n_particles)))
+    noise = None
+    if _noisy(hp):
+        noise = np.empty((2, cloud.dim, 1, cloud.n_particles))
+        _draw_noise(cloud.streams, noise[None, :, :, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        pt = _step(np.ascontiguousarray(cloud.positions.T), cloud.labels,
+        pt = _step(np.ascontiguousarray(cloud.positions.T)[:, None], cloud.labels,
                    _clusters(cloud.labels, problem.n_clusters), problem, hp,
-                   noise[0], step)
+                   noise, step)
     _check_finite(pt, step)
     return ParticleCloud(
-        positions=np.ascontiguousarray(pt.T),
+        positions=np.ascontiguousarray(pt[:, 0].T),
         labels=cloud.labels,
         streams=cloud.streams,
         step_count=step,
@@ -264,9 +288,9 @@ def cluster_variances(positions, labels, minimizers):
     return out
 
 
-# run_sde pre-draws noise in blocks of as many steps as fit in this many
+# A run pre-draws noise in blocks of as many steps as fit in this many
 # doubles (128 MiB), at least one step, which bounds its memory whatever
-# the cloud size.
+# the cloud size; an ensemble shares one run's block between its runs.
 NOISE_DOUBLES = 1 << 24
 
 
@@ -274,75 +298,122 @@ def run_sde(problem, n_per_cluster, hp, t_steps, init=None, seed=0,
             record_every=1, checkpoint_steps=(), jsonl_path=None):
     """Integrate the coupled system for t_steps and record V and consensus error.
 
-    The cloud is kept as one (d, N) array, so each update runs along the
-    particle axis.  Noise is pre-drawn from per-particle streams in
-    step-major blocks, which reproduces exactly what repeated ``em_step``
-    calls would draw; a noiseless run draws none.  Snapshots of the
-    positions are kept at ``checkpoint_steps``.
+    The one-seed case of ``run_sde_ensemble``, which gives the result, plus
+    the records written to ``jsonl_path`` if given.  Its noise blocks hold
+    ``max(1, min(t_steps, NOISE_DOUBLES // (2 * d * N)))`` steps.
     """
-    if t_steps < 0:
-        raise InvalidParameterError("t_steps must be >= 0")
-    init = init or InitSpec()
-    cloud = make_cloud(problem, n_per_cluster, init, seed)
-    labels = cloud.labels
-    clusters = _clusters(labels, problem.n_clusters)
-    minimizers = problem.minimizers
-    lip = problem.max_grad_lipschitz
-    regime = hp.theory_regime(lip, problem.dim) if lip is not None else None
-
-    checkpoint_steps = sorted(set(int(s) for s in checkpoint_steps))
-    checkpoints = {}
-    rec_steps, rec_v, rec_err = [], [], []
-
-    def record(step, pt):
-        # The consensus points recorded here are the next step's inputs.
-        rows = _rows(pt)
-        rec_steps.append(step)
-        rec_v.append(cluster_variances(rows, labels, minimizers))
-        points = cluster_consensus(rows, labels, problem, hp.alpha, step=step)
-        rec_err.append(np.linalg.norm(points - minimizers, axis=1))
-        return points
-
-    pt = np.ascontiguousarray(cloud.positions.T)
-    dim, n = pt.shape
-    noisy = hp.consensus_noise > 0 or hp.grad_noise > 0
-    block_steps = max(1, min(t_steps, NOISE_DOUBLES // (2 * dim * n)))
-    buffer = np.empty((block_steps, 2, dim, n)) if noisy else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        consensus = record(0, pt)
-        if 0 in checkpoint_steps:
-            checkpoints[0] = cloud.positions.copy()
-        step = 0
-        while step < t_steps:
-            block = min(block_steps, t_steps - step)
-            noise = _draw_noise(cloud.streams, buffer[:block]) if noisy else None
-            for s in range(block):
-                step += 1
-                pt = _step(pt, labels, clusters, problem, hp,
-                           None if noise is None else noise[s], step, consensus)
-                consensus = None
-                _check_finite(pt, step)
-                if step % record_every == 0 or step == t_steps:
-                    consensus = record(step, pt)
-                if step in checkpoint_steps:
-                    checkpoints[step] = np.ascontiguousarray(pt.T)
-
-    result = SdeResult(
-        steps=np.array(rec_steps),
-        times=np.array(rec_steps, dtype=float) * hp.step_size,
-        variances=np.array(rec_v),
-        consensus_errors=np.array(rec_err),
-        final_positions=np.ascontiguousarray(pt.T),
-        final_labels=cloud.labels.copy(),
-        checkpoints=checkpoints,
-        theory_regime=regime,
-        hp=hp,
-    )
+    result, = run_sde_ensemble(problem, n_per_cluster, hp, t_steps, [seed], init=init,
+                               record_every=record_every,
+                               checkpoint_steps=checkpoint_steps)
     if jsonl_path is not None:
         with open(jsonl_path, "w") as fh:
             for rec in result.records():
                 fh.write(json.dumps(rec) + "\n")
     return result
+
+
+def run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds, init=None,
+                     record_every=1, checkpoint_steps=()):
+    """Integrate one run per seed as one ensemble; one SdeResult per seed.
+
+    Each result equals ``run_sde`` with that seed bit for bit.  The runs'
+    clouds are held as one C-ordered (d, R, N) array, so each update runs
+    along the run and particle axes at once, and every reduction (consensus
+    weights, sums, clip bounds) runs along one run's particle axis.  Noise
+    is pre-drawn from per-particle streams in step-major blocks, as
+    repeated ``em_step`` calls would draw it; a noiseless run draws none.
+    The R runs share one run's block, S1 = max(1, min(t_steps,
+    NOISE_DOUBLES // (2 * d * N))) steps, as blocks of max(1, S1 // R)
+    steps; more than S1 seeds are integrated in groups of at most S1.
+    Divergence raises at the first step where any run fails, naming the
+    seed, the step and the particle.  Snapshots of the positions are kept
+    at ``checkpoint_steps``.
+    """
+    if t_steps < 0:
+        raise InvalidParameterError("t_steps must be >= 0")
+    if n_per_cluster < 1:
+        raise InvalidParameterError("n_per_cluster must be >= 1")
+    seeds = list(seeds)
+    run_steps = max(1, min(t_steps, NOISE_DOUBLES // (
+        2 * problem.dim * problem.n_clusters * n_per_cluster)))
+    checkpoint_steps = sorted(set(int(s) for s in checkpoint_steps))
+    results = []
+    for start in range(0, len(seeds), run_steps):
+        group = seeds[start:start + run_steps]
+        results += _integrate(problem, n_per_cluster, hp, t_steps, group,
+                              init or InitSpec(), record_every, checkpoint_steps,
+                              max(1, run_steps // len(group)))
+    return results
+
+
+def _integrate(problem, n_per_cluster, hp, t_steps, seeds, init, record_every,
+               checkpoint_steps, block_steps):
+    """One group of seeds as one (d, R, N) ensemble, drawing noise blocks of
+    ``block_steps`` steps."""
+    clouds = [make_cloud(problem, n_per_cluster, init, seed) for seed in seeds]
+    labels = clouds[0].labels
+    clusters = _clusters(labels, problem.n_clusters)
+    minimizers = problem.minimizers
+    lip = problem.max_grad_lipschitz
+    regime = hp.theory_regime(lip, problem.dim) if lip is not None else None
+    runs, n, dim = len(seeds), len(labels), problem.dim
+    pt = np.empty((dim, runs, n))
+    for r, cloud in enumerate(clouds):
+        pt[:, r] = cloud.positions.T
+
+    checkpoints = [{} for _ in seeds]
+    rec_steps, rec_v, rec_err = [], [], []
+
+    def record(step, pt):
+        # The consensus points recorded here are the next step's inputs.
+        rows = _run_rows(pt)
+        rec_steps.append(step)
+        rec_v.append([cluster_variances(run, labels, minimizers) for run in rows])
+        points = cluster_consensus(rows, labels, problem, hp.alpha, step, seeds)
+        rec_err.append([np.linalg.norm(p - minimizers, axis=1) for p in points])
+        return points
+
+    buffer = np.empty((block_steps, 2, dim, runs, n)) if _noisy(hp) else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        consensus = record(0, pt)
+        if 0 in checkpoint_steps:
+            for run, cloud in zip(checkpoints, clouds):
+                run[0] = cloud.positions.copy()
+        step = 0
+        while step < t_steps:
+            block = min(block_steps, t_steps - step)
+            noise = None
+            if buffer is not None:
+                noise = buffer[:block]
+                for r, cloud in enumerate(clouds):
+                    _draw_noise(cloud.streams, noise[:, :, :, r])
+            for s in range(block):
+                step += 1
+                pt = _step(pt, labels, clusters, problem, hp,
+                           None if noise is None else noise[s], step, seeds, consensus)
+                consensus = None
+                _check_finite(pt, step, seeds)
+                if step % record_every == 0 or step == t_steps:
+                    consensus = record(step, pt)
+                if step in checkpoint_steps:
+                    for r, run in enumerate(checkpoints):
+                        run[step] = np.ascontiguousarray(pt[:, r].T)
+
+    steps = np.array(rec_steps)
+    return [
+        SdeResult(
+            steps=steps.copy(),
+            times=steps * hp.step_size,
+            variances=np.array([v[r] for v in rec_v]),
+            consensus_errors=np.array([e[r] for e in rec_err]),
+            final_positions=np.ascontiguousarray(pt[:, r].T),
+            final_labels=labels.copy(),
+            checkpoints=checkpoints[r],
+            theory_regime=regime,
+            hp=hp,
+        )
+        for r in range(runs)
+    ]
 
 
 def decay_exponent_fit(v_values, times, window=None):

@@ -29,7 +29,7 @@ from fedcbo.objectives import (BenchmarkProblem, make_quadratic,
                                make_well_problem)
 from fedcbo.protocol import fedcbo_round
 from fedcbo.sde import (HyperParams, InitSpec, ParticleCloud,
-                        decay_exponent_fit, em_step, run_sde)
+                        decay_exponent_fit, em_step, run_sde_ensemble)
 
 DECAY_SEEDS = tuple(range(10))
 
@@ -103,8 +103,8 @@ def test_criterion_1_consensus_invariants(report):
 
 
 def _decay_runs(problem, hp, t_steps, init_std, seeds, record_every):
-    return [run_sde(problem, 200, hp, t_steps, init=InitSpec(std=init_std),
-                    seed=s, record_every=record_every) for s in seeds]
+    return run_sde_ensemble(problem, 200, hp, t_steps, seeds,
+                            init=InitSpec(std=init_std), record_every=record_every)
 
 
 def test_criterion_2_variance_decay_rate(report):

@@ -12,7 +12,7 @@ from fedcbo.diagnostics import (MeanFieldScan, make_projections, meanfield_scan,
                                 sliced_w1, theoretical_rate, write_csv)
 from fedcbo.errors import InvalidParameterError
 from fedcbo.objectives import make_well_problem
-from fedcbo.sde import HyperParams, InitSpec
+from fedcbo.sde import HyperParams, InitSpec, run_sde
 
 
 def test_theoretical_rate_halves_the_margin_by_default():
@@ -124,6 +124,47 @@ def test_scan_sorts_and_deduplicates_sizes():
         meanfield_scan(problem, hp, [], [0], 10)
     with pytest.raises(InvalidParameterError):
         meanfield_scan(problem, hp, [10], [0], 0)
+
+
+def reference_scan(problem, hp, n_list, seeds, t_steps, init, n_projections,
+                   n_checkpoints):
+    """The scan as one run_sde per (seed, size) and one sliced_w1 per
+    (seed, size, checkpoint, cluster): its per-seed discrepancies."""
+    checkpoints = sorted(set(
+        int(round(s)) for s in np.linspace(1, t_steps, min(n_checkpoints, t_steps))))
+    projections = make_projections(problem.dim, n_projections,
+                                   rng_mod.stream(0, rng_mod.PROJECTION))
+    per_seed = np.zeros((len(seeds), len(n_list)))
+    for si, seed in enumerate(seeds):
+        results = {}
+        for n in n_list:
+            run_seed = int(np.random.SeedSequence(entropy=(int(seed), n))
+                           .generate_state(1, np.uint64)[0] >> 1)
+            results[n] = run_sde(problem, n, hp, t_steps, init=init, seed=run_seed,
+                                 record_every=t_steps, checkpoint_steps=checkpoints)
+        ref = results[n_list[-1]]
+        for ni, n in enumerate(n_list):
+            run = results[n]
+            worst = 0.0
+            for step in checkpoints:
+                vals = [sliced_w1(run.checkpoints[step][run.final_labels == k],
+                                  ref.checkpoints[step][ref.final_labels == k],
+                                  projections=projections)
+                        for k in range(problem.n_clusters)]
+                worst = max(worst, float(np.mean(vals)))
+            per_seed[si, ni] = worst
+    return per_seed
+
+
+@pytest.mark.parametrize("n_list", [[12, 40], [7, 20, 33]])
+def test_scan_equals_per_seed_runs_and_sliced_w1_bit_for_bit(n_list):
+    problem, hp = scan_problem_and_params()
+    args = (problem, hp, n_list, [3, 0, 8], 25, InitSpec(std=3.0), 16, 5)
+    scan = meanfield_scan(*args[:5], init=args[5], n_projections=args[6],
+                          n_checkpoints=args[7])
+    want = reference_scan(*args)
+    assert scan.per_seed.tobytes() == want.tobytes()
+    assert scan.mean_discrepancy.tobytes() == want.mean(axis=0).tobytes()
 
 
 def test_scan_standard_error_shrinks_like_root_seed_count():

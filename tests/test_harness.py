@@ -156,8 +156,9 @@ RERUNS = {
     "sde": (run_sde_experiment, tiny_scan, experiment, "run_sde", 2),
     "scan-meanfield": (scan_meanfield_experiment, tiny_scan, experiment,
                        "meanfield_scan", 1),
+    # The scan takes each sliced-W1 distance from sorted projections.
     "scan-meanfield-sliced-w1": (scan_meanfield_experiment, tiny_scan, diagnostics,
-                                 "sliced_w1", 5),
+                                 "_sorted_w1", 5),
 }
 
 

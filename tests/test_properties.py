@@ -3,8 +3,9 @@ gradient clamp, analytic-objective tasks and batched round against
 one-model-at-a-time reference code, bit for bit; the
 consensus point and the particle step in their coordinate-major layout
 against the (n, dim) code they replaced, bit for bit, plus the consensus
-point's invariants; and the shared-grid sliced-W1 against a CDF-integral
-reference, to 1e-12.
+point's invariants; a particle ensemble against separate runs and the
+reference step, bit for bit; and the shared-grid sliced-W1 against a
+CDF-integral reference, to 1e-12.
 
 The reference functions below are copies of the per-agent code the batched
 paths replaced; they are kept here, not in the package, as the yardstick.
@@ -23,7 +24,8 @@ except ImportError:  # SciPy is a test extra; only the cross-check needs it
 from fedcbo import rng as rng_mod
 from fedcbo.diagnostics import make_projections, sliced_w1
 from fedcbo import sde
-from fedcbo.consensus import consensus_point
+from fedcbo.consensus import consensus_point, gibbs_mean
+from fedcbo.errors import DivergenceError
 from fedcbo.learners import (LogisticModel, MlpModel, ObjectiveTasks, ShardTask,
                              ShardTasks, local_sgd)
 from fedcbo.objectives import (DEFAULT_GRAD_BOUND, _clamp_rows, make_centers_problem,
@@ -522,9 +524,13 @@ def reference_advance(positions, labels, problem, hp, noise):
 
 
 def reference_em_step(positions, labels, streams, problem, hp):
-    noise = np.empty((len(streams), 2, positions.shape[1]))
-    for i, stream in enumerate(streams):
-        noise[i] = stream.standard_normal((2, positions.shape[1]))
+    """One step; a particle draws its (2, dim) normals only when a noise
+    scale is positive."""
+    noise = None
+    if hp.consensus_noise > 0 or hp.grad_noise > 0:
+        noise = np.empty((len(streams), 2, positions.shape[1]))
+        for i, stream in enumerate(streams):
+            noise[i] = stream.standard_normal((2, positions.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         return reference_advance(positions, labels, problem, hp, noise)
 
@@ -576,6 +582,28 @@ def test_consensus_point_invariants(case, shift, loss_shift):
     assert np.all(positions.min(axis=0) <= point.value)
     assert np.all(point.value <= positions.max(axis=0))
     assert 1.0 <= point.total_weight <= positions.shape[0]
+
+
+def test_gibbs_mean_of_stacked_runs_equals_consensus_point_run_by_run():
+    # Runs with and without zero clip bounds side by side, in the C-ordered
+    # (d, R, N) layout of a particle ensemble.  A min or max along that
+    # contiguous axis gives a zero bound the other sign in about one case of
+    # twenty, so the cases are many and cheap.
+    gen = np.random.default_rng(20)
+    for _ in range(600):
+        runs, n, dim = gen.integers(1, 6), gen.integers(1, 31), gen.integers(1, 6)
+        clouds = gen.standard_normal((runs, n, dim))
+        zero = gen.random((runs, dim)) < 0.5
+        clouds[np.broadcast_to(zero[:, None], clouds.shape)] = 0.0
+        clouds = np.where(gen.random(clouds.shape) < 0.5, -1.0, 1.0) * clouds
+        losses = gen.random((runs, n)) * 50.0
+        alpha = gen.choice([0.0, 0.5, 10.0, 100.0])
+        value, total = gibbs_mean(np.ascontiguousarray(clouds.transpose(2, 0, 1)),
+                                  losses, alpha)
+        for r in range(runs):
+            point = consensus_point(clouds[r], losses[r], alpha)
+            assert same_bits(value[:, r], point.value)
+            assert total[r] == point.total_weight
 
 
 @SETTINGS
@@ -633,10 +661,10 @@ def test_particle_step_equals_reference_bit_for_bit(case):
     # The noiseless update run_sde takes when both noise amplitudes are 0.
     clusters = sde._clusters(labels, problem.n_clusters)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = sde._step(np.ascontiguousarray(positions.T), labels, clusters, problem,
-                        hp, None, 1)
+        got = sde._step(np.ascontiguousarray(positions.T)[:, None], labels, clusters,
+                        problem, hp, None, 1)
         want = reference_advance(positions, labels, problem, hp, None)
-    assert same_bits(got.T, want)
+    assert same_bits(got[:, 0].T, want)
 
 
 def test_em_step_on_interleaved_uneven_clusters_equals_reference():
@@ -658,6 +686,124 @@ def test_em_step_on_interleaved_uneven_clusters_equals_reference():
         positions = reference_em_step(positions, labels, streams, problem, hp)
         assert same_bits(cloud.positions, positions)
     assert same_position(cloud.streams, streams)
+
+
+# ---------------------------------------------------------------- particle ensemble
+
+def zeroed_cloud(make_cloud, scaled=(), scale=1.0):
+    """``make_cloud`` with, per seed, some coordinates set to exact zeros of
+    either sign, so that zero clip bounds come up in some runs and not in
+    others; the clouds of the seeds in ``scaled`` are multiplied by
+    ``scale``."""
+    def make(problem, n_per_cluster, init, seed):
+        cloud = make_cloud(problem, n_per_cluster, init, seed)
+        gen = np.random.default_rng(seed)
+        for j in np.flatnonzero(gen.random(problem.dim) < 0.4):
+            cloud.positions[:, j] = np.where(gen.random(cloud.n_particles) < 0.5, -0.0, 0.0)
+        if seed in scaled:
+            cloud.positions *= scale
+        return cloud
+    return make
+
+
+def assert_same_result(got, want):
+    for name in ("steps", "times", "variances", "consensus_errors", "final_positions",
+                 "final_labels"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert sorted(got.checkpoints) == sorted(want.checkpoints)
+    for step, positions in want.checkpoints.items():
+        assert same_bits(got.checkpoints[step], positions), step
+    assert got.theory_regime == want.theory_regime
+
+
+@st.composite
+def ensemble_case(draw):
+    dim = draw(st.sampled_from([1, 2, 3, 8]))
+    kind = draw(st.sampled_from(["quadratic", "rastrigin"]))
+    centers = [[draw(st.sampled_from([0.0, -1.5, 2.0])) for _ in range(dim)]
+               for _ in range(draw(st.integers(1, 2)))]
+    noise = draw(st.booleans())
+    hp = HyperParams(consensus_drift=draw(st.sampled_from([0.5, 2.0])),
+                     grad_drift=draw(st.sampled_from([0.0, 0.3])),
+                     consensus_noise=0.4 if noise else 0.0,
+                     grad_noise=draw(st.sampled_from([0.0, 0.2])) if noise else 0.0,
+                     alpha=draw(st.sampled_from([1.0, 50.0])),
+                     step_size=draw(st.sampled_from([0.01, 0.05])))
+    runs = draw(st.sampled_from([1, 2, 5]))
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=runs, max_size=runs,
+                          unique=True))
+    return (make_centers_problem(kind, dim, centers), hp, draw(st.integers(1, 4)),
+            draw(st.integers(0, 9)), seeds, draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+
+
+@SETTINGS
+@given(ensemble_case())
+def test_ensemble_equals_separate_runs_bit_for_bit(case):
+    problem, hp, n_per_cluster, t_steps, seeds, run_steps, record_every = case
+    n = problem.n_clusters * n_per_cluster
+    s1 = max(1, min(t_steps, run_steps))
+    buffers = []
+    draw = sde._draw_noise
+
+    def spy(streams, out):
+        buffers.append(out.base.shape)
+        return draw(streams, out)
+
+    checkpoint_steps = sorted({0, t_steps, t_steps // 2})
+    init = sde.InitSpec(std=1.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sde, "NOISE_DOUBLES", 2 * problem.dim * n * run_steps)
+        patch.setattr(sde, "make_cloud", zeroed_cloud(sde.make_cloud))
+        patch.setattr(sde, "_draw_noise", spy)
+        got = sde.run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds, init=init,
+                                   record_every=record_every,
+                                   checkpoint_steps=checkpoint_steps)
+        ensemble_buffers = list(buffers)
+        want = [sde.run_sde(problem, n_per_cluster, hp, t_steps, init=init, seed=seed,
+                            record_every=record_every, checkpoint_steps=checkpoint_steps)
+                for seed in seeds]
+        clouds = [sde.make_cloud(problem, n_per_cluster, init, seed) for seed in seeds]
+
+    assert len(got) == len(seeds)
+    for result, alone in zip(got, want):
+        assert_same_result(result, alone)
+    # The per-particle reference step, from the same start.
+    for result, cloud in zip(got, clouds):
+        positions = cloud.positions
+        for _ in range(t_steps):
+            positions = reference_em_step(positions, cloud.labels, cloud.streams,
+                                          problem, hp)
+        assert same_bits(result.final_positions, positions)
+    # One draw per run and block: seeds go in groups of at most S1 runs, whose
+    # blocks of S1 // R steps hold no more doubles than one run's S1 steps.
+    assert bool(ensemble_buffers) == (t_steps > 0 and hp.consensus_noise > 0)
+    for block_steps, two, dim, runs, particles in ensemble_buffers:
+        assert (two, dim, particles) == (2, problem.dim, n)
+        assert runs <= s1 and block_steps == max(1, s1 // runs)
+        assert block_steps * two * dim * runs * particles <= 2 * problem.dim * n * s1
+
+
+def test_ensemble_names_the_first_diverging_seed():
+    # The middle seed starts 1e150 out; consensus drift 30 at step 0.1 doubles
+    # every distance to the consensus each step, so its losses overflow
+    # within a few steps while the other runs stay finite.
+    problem = make_centers_problem("quadratic", 2, [[1.0, -1.0], [-2.0, 0.5]])
+    hp = HyperParams(consensus_drift=30.0, consensus_noise=0.2, alpha=10.0,
+                     step_size=0.1)
+    seeds = [11, 12, 13]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sde, "make_cloud", zeroed_cloud(sde.make_cloud, {12}, 1e150))
+        with pytest.raises(DivergenceError) as alone:
+            sde.run_sde(problem, 5, hp, 30, seed=12)
+        with pytest.raises(DivergenceError) as together:
+            sde.run_sde_ensemble(problem, 5, hp, 30, seeds)
+        healthy = sde.run_sde_ensemble(problem, 5, hp, 30, [11, 13])
+    step, index = alone.value.step, alone.value.index
+    assert 0 < step < 30
+    assert (together.value.step, together.value.index) == (step, index)
+    message = str(together.value)
+    assert f"particle {index} (seed 12)" in message and f"at step {step}" in message
+    assert all(np.isfinite(r.final_positions).all() for r in healthy)
 
 
 # ---------------------------------------------------------------- sliced-W1

@@ -126,6 +126,27 @@ def test_noiseless_run_matches_em_steps_bitwise():
     assert np.array_equal(result.final_positions, cloud.positions)
 
 
+def test_noiseless_em_step_draws_no_noise():
+    # As in run_sde: with both noise scales 0 no stream is drawn, and the
+    # positions have the values of the update with zero-scaled noise terms.
+    prob = make_well_problem("quadratic", 2)
+    hp = HyperParams(consensus_drift=1.0, grad_drift=0.5, alpha=10.0, step_size=0.01)
+    cloud = make_cloud(prob, 4, InitSpec(std=2.0), seed=3)
+    untouched = make_cloud(prob, 4, InitSpec(std=2.0), seed=3)
+    stepped = em_step(cloud, prob, hp)
+    for stream, fresh in zip(stepped.streams, untouched.streams, strict=True):
+        assert np.array_equal(stream.standard_normal(4), fresh.standard_normal(4))
+    alone = run_sde(prob, 4, hp, 1, init=InitSpec(std=2.0), seed=3)
+    assert np.array_equal(stepped.positions, alone.final_positions)
+
+    noise = np.stack([s.standard_normal((2, 2)) for s in untouched.streams], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero_scaled = sde._step(np.ascontiguousarray(untouched.positions.T)[:, None],
+                                untouched.labels, sde._clusters(untouched.labels, 2),
+                                prob, hp, noise[:, :, None], 1)
+    assert np.array_equal(stepped.positions, zero_scaled[:, 0].T)
+
+
 def test_long_runs_cross_noise_chunk_boundary_consistently(monkeypatch):
     # With the budget scaled to 120-step pre-draw blocks of 3 particles in
     # 1-D, the run length of two and a half blocks crosses two block
