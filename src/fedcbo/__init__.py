@@ -7,8 +7,9 @@ from .consensus import ConsensusPoint, consensus_point, consensus_point_for_agen
 from .errors import ConfigError, DivergenceError, InvalidParameterError
 from .objectives import (BenchmarkProblem, Objective, make_quadratic,
                          make_rastrigin, make_well_problem)
-from .sde import (ParticleCloud, decay_exponent_fit, em_step, epsilon_for_round,
-                  make_cloud, run_sde, run_sde_ensemble)
+from .protocol import epsilon_for_round
+from .sde import (ParticleCloud, decay_exponent_fit, em_step, make_cloud, run_sde,
+                  run_sde_ensemble)
 
 __all__ = [
     "BenchmarkProblem", "ConfigError", "ConsensusPoint", "DivergenceError",

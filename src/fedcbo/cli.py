@@ -23,13 +23,13 @@ from .experiment import (compare_protocols, export_plot_data, run_experiment,
 log = logging.getLogger(__name__)
 
 
-def _add_shared(parser, config_required=True,
-                out_help="output directory (overrides the config)"):
-    parser.add_argument("--config", required=config_required,
+def _add_shared(parser):
+    parser.add_argument("--config", required=True,
                         help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None,
                         help="run a single seed instead of the configured list")
-    parser.add_argument("--out", default=None, help=out_help)
+    parser.add_argument("--out", default=None,
+                        help="output directory (overrides the config)")
     parser.add_argument("--protocol", default=None, choices=PROTOCOLS,
                         help="protocol override")
     parser.add_argument("--threads", type=int, default=1,
@@ -45,12 +45,14 @@ def build_parser():
     for name in ("run", "compare", "scan-meanfield", "sde"):
         _add_shared(sub.add_parser(name))
     plot = sub.add_parser("plot-export")
-    _add_shared(plot, config_required=False,
-                out_help="path of the CSV file to write (default: plot_data.csv "
-                         "in the run directory)")
     plot.add_argument("--run-dir", default=None,
                       help="completed run directory to export (defaults to the "
                            "config's output dir)")
+    plot.add_argument("--config", default=None,
+                      help="path to a JSON experiment config, for its output dir")
+    plot.add_argument("--out", default=None,
+                      help="path of the CSV file to write (default: plot_data.csv "
+                           "in the run directory)")
     return parser
 
 
@@ -61,7 +63,7 @@ def _apply_overrides(config, args):
         config.seeds = [args.seed]
     if args.protocol is not None:
         config.protocol = args.protocol
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         raise ConfigError(["--threads: must be >= 1"])
     return config
 

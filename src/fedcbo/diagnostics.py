@@ -1,10 +1,10 @@
 """Measurement tools: theoretical rates, cloud distances and finite-size
 scans.
 
-These read simulation output; they never influence the dynamics.
+These read simulation output; they never influence the dynamics, and they
+write no files: ``experiment`` writes every run file.
 """
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -183,12 +183,3 @@ def _run_seed(seed, n):
 
 def _cluster_cloud(result, step, k):
     return result.checkpoints[step][result.final_labels == k]
-
-
-def write_csv(path, header, rows):
-    """Small deterministic CSV writer used by the run harness."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path

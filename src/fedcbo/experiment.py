@@ -1,6 +1,9 @@
 """Run harness: builds problems from configs, executes protocols seed by
 seed, and writes metric files plus a manifest.
 
+This is the one module that builds, writes and reads run files; ``sde``
+and ``diagnostics`` only compute.
+
 File layout of a completed run directory:
 
     metrics_seed<S>.jsonl   one record per round (or per recorded SDE step)
@@ -17,6 +20,7 @@ complete.  Metric files contain no timing information and are
 byte-identical across repeated runs of the same config and seed.
 """
 
+import csv
 import dataclasses
 import json
 import logging
@@ -31,14 +35,13 @@ import numpy as np
 from . import __version__
 from . import rng as rng_mod
 from .baselines import fedavg_round, ifca_round, local_only_round
-from .diagnostics import write_csv
+from .diagnostics import meanfield_scan, theoretical_rate
 from .errors import ConfigError
 from .learners import (ObjectiveTasks, ShardTasks, accuracy, agent_blocks,
                        generate_clustered_data, make_model)
 from .objectives import make_centers_problem, make_well_problem
 from .protocol import fedcbo_round, oracle_sr, selection_ratio
 from .sde import cluster_variances, decay_exponent_fit, run_sde
-from .diagnostics import meanfield_scan, theoretical_rate
 
 log = logging.getLogger(__name__)
 
@@ -140,22 +143,6 @@ def _best_loss_accuracy(setup, candidates):
     return per_cluster
 
 
-def _base_record(round_index, n_participants):
-    return {
-        "round": int(round_index),
-        "participants": int(n_participants),
-        "eps": None,
-        "sr": None,
-        "oracle_sr": None,
-        "assignment_purity": None,
-        "mean_local_loss": None,
-        "acc_per_cluster": None,
-        "acc_macro": None,
-        "v_per_cluster": None,
-        "v_sum": None,
-    }
-
-
 def _mean_own_loss(setup, models):
     """Mean over agents of the loss of models[j] (a row) on agent j's data."""
     losses = setup.tasks.losses(np.arange(setup.n_agents), models[:, None])
@@ -236,6 +223,10 @@ def run_protocol(config, seed):
     if config.protocol not in _ROUNDS:
         raise ConfigError([f"protocol: unknown protocol {config.protocol!r}"])
     setup = build_setup(config, seed)
+    if config.protocol == "fedcbo" and setup.n_agents < 2:
+        # No config rule: sde configs share the field and may run one particle.
+        raise ConfigError([f"protocol: fedcbo needs at least 2 agents, the problem "
+                           f"has {setup.n_agents}"])
     streams = rng_mod.agent_streams(seed, setup.n_agents)
     counters = Counter()
     records = []
@@ -264,10 +255,61 @@ def _assignment_purity(assignments, agent_cluster):
     return float(np.mean(purity))
 
 
+def _base_record(round_index, n_participants):
+    """A protocol round's record, metrics unset.  ``_write_jsonl`` keeps the
+    key order, so the keys are declared sorted, as round files have them."""
+    return {
+        "acc_macro": None,
+        "acc_per_cluster": None,
+        "assignment_purity": None,
+        "eps": None,
+        "mean_local_loss": None,
+        "oracle_sr": None,
+        "participants": int(n_participants),
+        "round": int(round_index),
+        "sr": None,
+        "v_per_cluster": None,
+        "v_sum": None,
+    }
+
+
+def _trajectory_records(result):
+    """One record per recorded step of an ``sde.SdeResult``."""
+    for step, t, v, err in zip(result.steps, result.times, result.variances,
+                               result.consensus_errors):
+        yield {"step": int(step), "time": float(t), "v_per_cluster": v.tolist(),
+               "v_sum": float(v.sum()), "consensus_err": err.tolist()}
+
+
 def _write_jsonl(path, records):
+    """One JSON line per record, keys in the order the record was built."""
     with open(path, "w") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record) + "\n")
+
+
+def write_csv(path, header, rows):
+    """Deterministic CSV: one header row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _metrics(record, skip):
+    """A record's (name, value) metrics, leaving out the keys in ``skip``
+    and unset (None) values.  A list gives one metric per cluster,
+    ``<key>_c<k>``, with any ``_per_cluster`` suffix dropped."""
+    for key, value in record.items():
+        if key in skip:
+            continue
+        if isinstance(value, list):
+            name = key.replace("_per_cluster", "")
+            for k, v in enumerate(value):
+                yield f"{name}_c{k}", v
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield key, value
 
 
 def _summary_rows(per_seed_finals):
@@ -276,17 +318,8 @@ def _summary_rows(per_seed_finals):
     for record in per_seed_finals:
         if record is None:
             continue
-        flat = {}
-        for key, value in record.items():
-            if key in ("round", "participants"):
-                continue
-            if isinstance(value, list):
-                for k, v in enumerate(value):
-                    flat[f"{key.replace('_per_cluster', '')}_c{k}"] = v
-            elif isinstance(value, (int, float)) and value is not None:
-                flat[key] = value
-        for key, value in flat.items():
-            rows.setdefault(key, []).append(float(value))
+        for name, value in _metrics(record, ("round", "participants")):
+            rows.setdefault(name, []).append(float(value))
     out = []
     for key in sorted(rows):
         vals = np.array(rows[key])
@@ -362,7 +395,27 @@ def _finalize(out_dir, manifest):
     except BaseException:
         tmp_path.unlink(missing_ok=True)
         raise
-    return manifest_path
+
+
+def _read_manifest(run_dir):
+    """The manifest of a complete run directory, else None.  A directory is
+    complete iff its manifest exists and every file the manifest lists is
+    present."""
+    run_dir = Path(run_dir)
+    try:
+        with open(run_dir / "manifest.json") as fh:
+            manifest = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return None
+    names = list(manifest.get("metrics_files", []))
+    if manifest.get("summary_file"):
+        names.append(manifest["summary_file"])
+    return manifest if all((run_dir / name).exists() for name in names) else None
+
+
+def is_complete(run_dir):
+    """Whether ``run_dir`` holds a manifest and every file it lists."""
+    return _read_manifest(run_dir) is not None
 
 
 def run_experiment(config, out_dir=None):
@@ -384,24 +437,6 @@ def run_experiment(config, out_dir=None):
         run_dir.manifest.update(protocol=config.protocol, wall_time_s=wall_times,
                                 counters=counters)
     return run_dir.manifest
-
-
-def is_complete(run_dir):
-    """A run directory is complete iff its manifest exists and every file
-    the manifest lists is present."""
-    run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        return False
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return False
-    names = list(manifest.get("metrics_files", []))
-    if manifest.get("summary_file"):
-        names.append(manifest["summary_file"])
-    return all((run_dir / name).exists() for name in names)
 
 
 def compare_protocols(config, protocols=None, out_dir=None):
@@ -487,9 +522,9 @@ def run_sde_experiment(config, out_dir=None):
         for seed in config.seeds:
             result = run_sde(bench, config.problem["n_per_cluster"], hp, t_steps,
                              init=config.init_spec(), seed=seed,
-                             record_every=config.schedule["record_every"],
-                             jsonl_path=run_dir.path(f"trajectory_seed{seed}.jsonl",
-                                                     "metrics"))
+                             record_every=config.schedule["record_every"])
+            _write_jsonl(run_dir.path(f"trajectory_seed{seed}.jsonl", "metrics"),
+                         _trajectory_records(result))
             vsum = result.variance_sums
             below = np.flatnonzero(vsum <= 1e-3 * vsum[0])
             stop = int(below[0]) + 1 if below.size else len(vsum)
@@ -533,28 +568,19 @@ def export_plot_data(run_dir, out_path=None):
     value).  Files the manifest does not list, such as those an earlier run
     left in the directory, are not read."""
     run_dir = Path(run_dir)
-    if not is_complete(run_dir):
+    manifest = _read_manifest(run_dir)
+    if manifest is None:
         raise ConfigError([f"output.dir: {run_dir} is not a completed run directory"])
     out_path = Path(out_path or (run_dir / "plot_data.csv"))
-    with open(run_dir / "manifest.json") as fh:
-        names = json.load(fh)["metrics_files"]
     rows = []
-    for name in names:
+    for name in manifest["metrics_files"]:
         seed = Path(name).stem.split("seed")[-1]
         with open(run_dir / name) as fh:
             for line in fh:
                 record = json.loads(line)
                 index = record.get("round", record.get("step", 0))
-                for key, value in sorted(record.items()):
-                    if key in ("round", "step"):
-                        continue
-                    if isinstance(value, list):
-                        for k, v in enumerate(value):
-                            rows.append([seed, index,
-                                         f"{key.replace('_per_cluster', '')}_c{k}",
-                                         f"{float(v):.10g}"])
-                    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                        rows.append([seed, index, key, f"{float(value):.10g}"])
+                rows += [[seed, index, metric, f"{float(value):.10g}"]
+                         for metric, value in _metrics(record, ("round", "step"))]
     rows.sort(key=lambda r: (r[0], int(r[1]), r[2]))
     write_csv(out_path, ["seed", "index", "metric", "value"], rows)
     return out_path

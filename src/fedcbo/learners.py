@@ -424,10 +424,6 @@ class ClusteredDataset:
     def n_clusters(self):
         return len(self.test_sets)
 
-    @property
-    def input_dim(self):
-        return self.x.shape[2]
-
 
 def rotation_matrix(angle, dim):
     """Planar rotation acting on coordinates (0, 1), identity elsewhere."""

@@ -19,9 +19,17 @@ import numpy as np
 from .consensus import consensus_point_for_agent
 from .errors import DivergenceError, InvalidParameterError
 from .learners import agent_blocks
-from .sde import epsilon_for_round
 
 log = logging.getLogger(__name__)
+
+
+def epsilon_for_round(hp, round_idx):
+    """Exploration rate of round ``round_idx`` (from 0), the share of each
+    download budget ``greedy_sample`` draws uniformly:
+    eps(n) = max(eps_start - eps_decay * n, eps_floor)."""
+    if round_idx < 0:
+        raise InvalidParameterError(f"round index must be >= 0, got {round_idx}")
+    return max(hp.eps_start - hp.eps_decay * round_idx, hp.eps_floor)
 
 
 def _round_half_up(x):

@@ -13,7 +13,6 @@ stream (z first, then z~).  The noise amplitudes are scalar norms times an
 isotropic Gaussian, so noise vanishes as the cloud reaches consensus.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,13 +22,6 @@ from . import rng as rng_mod
 from .config import HyperParams, InitSpec
 from .consensus import gibbs_mean
 from .errors import DivergenceError, InvalidParameterError
-
-
-def epsilon_for_round(hp, round_idx):
-    """Exploration rate schedule: eps(n) = max(start - decay*n, floor)."""
-    if round_idx < 0:
-        raise InvalidParameterError(f"round index must be >= 0, got {round_idx}")
-    return max(hp.eps_start - hp.eps_decay * round_idx, hp.eps_floor)
 
 
 @dataclass
@@ -263,17 +255,6 @@ class SdeResult:
     def variance_sums(self):
         return self.variances.sum(axis=1)
 
-    def records(self):
-        """Per-record dicts, ready for JSONL."""
-        for i in range(len(self.steps)):
-            yield {
-                "step": int(self.steps[i]),
-                "time": float(self.times[i]),
-                "v_per_cluster": [float(v) for v in self.variances[i]],
-                "v_sum": float(self.variances[i].sum()),
-                "consensus_err": [float(e) for e in self.consensus_errors[i]],
-            }
-
 
 def cluster_variances(positions, labels, minimizers):
     """V_k = 0.5 * mean over cluster-k particles of |theta - theta_k*|^2."""
@@ -295,21 +276,16 @@ NOISE_DOUBLES = 1 << 24
 
 
 def run_sde(problem, n_per_cluster, hp, t_steps, init=None, seed=0,
-            record_every=1, checkpoint_steps=(), jsonl_path=None):
+            record_every=1, checkpoint_steps=()):
     """Integrate the coupled system for t_steps and record V and consensus error.
 
-    The one-seed case of ``run_sde_ensemble``, which gives the result, plus
-    the records written to ``jsonl_path`` if given.  Its noise blocks hold
-    ``max(1, min(t_steps, NOISE_DOUBLES // (2 * d * N)))`` steps.
+    The one-seed case of ``run_sde_ensemble``: its noise blocks hold
+    ``max(1, min(t_steps, NOISE_DOUBLES // (2 * d * N)))`` steps.  It
+    writes nothing; ``experiment`` turns the result into trajectory files.
     """
-    result, = run_sde_ensemble(problem, n_per_cluster, hp, t_steps, [seed], init=init,
-                               record_every=record_every,
-                               checkpoint_steps=checkpoint_steps)
-    if jsonl_path is not None:
-        with open(jsonl_path, "w") as fh:
-            for rec in result.records():
-                fh.write(json.dumps(rec) + "\n")
-    return result
+    return run_sde_ensemble(problem, n_per_cluster, hp, t_steps, [seed], init=init,
+                            record_every=record_every,
+                            checkpoint_steps=checkpoint_steps)[0]
 
 
 def run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds, init=None,
@@ -416,20 +392,17 @@ def _integrate(problem, n_per_cluster, hp, t_steps, seeds, init, record_every,
     ]
 
 
-def decay_exponent_fit(v_values, times, window=None):
+def decay_exponent_fit(v_values, times):
     """Least-squares decay rate of log(V) over ``times``.
 
-    ``window`` is an optional (start, stop) index slice.  Nonpositive V
-    entries are trimmed before fitting; an empty window after trimming is an
-    error.  Returns the sign-flipped slope, positive for decay.
+    Nonpositive V entries are trimmed before fitting; fewer than 2 samples
+    after trimming is an error.  Returns the sign-flipped slope, positive
+    for decay.
     """
     v = np.asarray(v_values, dtype=float)
     t = np.asarray(times, dtype=float)
     if v.shape != t.shape:
         raise InvalidParameterError("v_values and times must have the same shape")
-    if window is not None:
-        lo, hi = window
-        v, t = v[lo:hi], t[lo:hi]
     keep = v > 0
     v, t = v[keep], t[keep]
     if len(v) < 2:

@@ -1,7 +1,6 @@
 """Diagnostics: guaranteed rates, sliced transport distance and finite-size
 scans."""
 
-import csv
 import logging
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 from fedcbo import rng as rng_mod
 from fedcbo.diagnostics import (MeanFieldScan, make_projections, meanfield_scan,
-                                sliced_w1, theoretical_rate, write_csv)
+                                sliced_w1, theoretical_rate)
 from fedcbo.errors import InvalidParameterError
 from fedcbo.objectives import make_well_problem
 from fedcbo.sde import HyperParams, InitSpec, run_sde
@@ -180,9 +179,3 @@ def test_scan_standard_error_shrinks_like_root_seed_count():
     ratio = stderr_16 / stderr_8
     assert 0.495 <= ratio <= 0.919  # 1/sqrt(2) +- 30%
 
-
-def test_write_csv_roundtrip(tmp_path):
-    path = write_csv(tmp_path / "table.csv", ["a", "b"], [[1, 2], [3, 4]])
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [["a", "b"], ["1", "2"], ["3", "4"]]

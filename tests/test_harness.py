@@ -1,6 +1,7 @@
 """Run harness and CLI: output layout, determinism, crash cleanup, protocol
 comparison, and exit codes."""
 
+import csv
 import hashlib
 import importlib.util
 import inspect
@@ -21,7 +22,7 @@ from fedcbo.config import resolve_config
 from fedcbo.errors import ConfigError, DivergenceError
 from fedcbo.experiment import (compare_protocols, export_plot_data, is_complete,
                                run_experiment, run_protocol, run_sde_experiment,
-                               scan_meanfield_experiment)
+                               scan_meanfield_experiment, write_csv)
 
 BENCHMARK_RECORD_KEYS = {
     "round", "participants", "eps", "sr", "oracle_sr", "assignment_purity",
@@ -88,6 +89,12 @@ def test_run_experiment_writes_the_documented_layout(tmp_path):
     assert record["acc_macro"] is None          # no test data on benchmarks
     assert record["assignment_purity"] is None  # not an ifca run
     assert not any("time" in key for key in record)
+    # Records are written in the order they are built, and round records
+    # are built with sorted keys.
+    for name in manifest["metrics_files"]:
+        for line in (tmp_path / name).read_text().splitlines():
+            keys = list(json.loads(line))
+            assert keys == sorted(keys)
 
     # Round counters go to the manifest only: 2 rounds x 6 agents x 2 downloads,
     # plus each agent's own model among the loss evaluations.
@@ -295,7 +302,11 @@ def test_sde_experiment_writes_trajectories_and_rates(tmp_path):
     )
     manifest = run_sde_experiment(config, out_dir=tmp_path)
     assert manifest["kind"] == "sde"
-    assert (tmp_path / "trajectory_seed0.jsonl").exists()
+    lines = (tmp_path / "trajectory_seed0.jsonl").read_text().splitlines()
+    assert len(lines) == 21  # steps 0, 10, ..., 200
+    for line in lines:
+        assert list(json.loads(line)) == ["step", "time", "v_per_cluster", "v_sum",
+                                          "consensus_err"]
     rows = (tmp_path / "sde_summary.csv").read_text().strip().split("\n")
     assert rows[0] == "seed,v_start,v_end,fitted_rate,rate_bound,theory_regime"
     assert len(rows) == 2
@@ -349,6 +360,13 @@ def test_plot_export_reads_only_the_files_the_manifest_lists(tmp_path):
 def test_plot_export_requires_a_completed_run(tmp_path):
     with pytest.raises(ConfigError):
         export_plot_data(tmp_path)
+
+
+def test_write_csv_roundtrip(tmp_path):
+    path = write_csv(tmp_path / "table.csv", ["a", "b"], [[1, 2], [3, 4]])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["a", "b"], ["1", "2"], ["3", "4"]]
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -443,6 +461,42 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", config_path, "--threads", "0"]) == 2
 
     assert main(["plot-export", "--run-dir", str(tmp_path / "nope")]) == 2
+
+
+def test_plot_export_takes_only_its_own_flags(tmp_path):
+    # --seed, --protocol and --threads belong to the run commands.
+    for flag in (["--seed", "1"], ["--protocol", "local"], ["--threads", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot-export", "--run-dir", str(tmp_path)] + flag)
+        assert exc.value.code == 2
+
+
+ONE_AGENT = {
+    "learner": {"problem": {"n_agents": 1, "n_clusters": 1},
+                "schedule": {"rounds": 1}, "seeds": [0]},
+    "benchmark": {"problem": {"kind": "benchmark", "dim": 2, "centers": [[0.0, 0.0]],
+                              "n_per_cluster": 1},
+                  "schedule": {"rounds": 1}, "seeds": [0]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_AGENT))
+def test_fedcbo_with_one_agent_exits_2(tmp_path, capsys, kind):
+    config_path = write_config(tmp_path, ONE_AGENT[kind])
+    # compare takes learner problems only, and runs fedcbo first.
+    for command in ["run", "compare"] if kind == "learner" else ["run"]:
+        out = tmp_path / command
+        assert main([command, "--config", config_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: protocol: fedcbo needs at least 2 agents, the problem has 1"]
+        assert not is_complete(out)
+
+
+def test_sde_with_one_particle_still_runs(tmp_path):
+    raw = dict(ONE_AGENT["benchmark"], schedule={"t_steps": 5, "record_every": 1})
+    assert main(["sde", "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert is_complete(tmp_path / "out")
 
 
 def test_cli_divergence_exits_3(tmp_path, capsys):

@@ -30,8 +30,9 @@ from fedcbo.learners import (LogisticModel, MlpModel, ObjectiveTasks, ShardTask,
                              ShardTasks, local_sgd)
 from fedcbo.objectives import (DEFAULT_GRAD_BOUND, _clamp_rows, make_centers_problem,
                                make_quadratic, make_rastrigin)
-from fedcbo.protocol import _contract, fedcbo_round, greedy_sample, local_aggregation
-from fedcbo.sde import HyperParams, ParticleCloud, em_step, epsilon_for_round
+from fedcbo.protocol import (_contract, epsilon_for_round, fedcbo_round, greedy_sample,
+                             local_aggregation)
+from fedcbo.sde import HyperParams, ParticleCloud, em_step
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
