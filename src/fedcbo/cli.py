@@ -30,8 +30,6 @@ def _add_shared(parser):
                         help="run a single seed instead of the configured list")
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
-    parser.add_argument("--protocol", default=None, choices=PROTOCOLS,
-                        help="protocol override")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker hint; results are identical for any value")
 
@@ -43,7 +41,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "compare", "scan-meanfield", "sde"):
-        _add_shared(sub.add_parser(name))
+        command = sub.add_parser(name)
+        _add_shared(command)
+        if name == "run":
+            command.add_argument("--protocol", default=None, choices=PROTOCOLS,
+                                 help="protocol override")
     plot = sub.add_parser("plot-export")
     plot.add_argument("--run-dir", default=None,
                       help="completed run directory to export (defaults to the "
@@ -61,7 +63,7 @@ def _apply_overrides(config, args):
         if args.seed < 0:
             raise ConfigError([f"--seed: must be >= 0, got {args.seed}"])
         config.seeds = [args.seed]
-    if args.protocol is not None:
+    if getattr(args, "protocol", None) is not None:
         config.protocol = args.protocol
     if args.threads < 1:
         raise ConfigError(["--threads: must be >= 1"])

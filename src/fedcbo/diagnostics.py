@@ -177,8 +177,8 @@ def meanfield_scan(problem, hp, n_list, seeds, t_steps, init=None,
 
 def _run_seed(seed, n):
     """The run seed of population size ``n`` under scan seed ``seed``."""
-    return int(np.random.SeedSequence(entropy=(int(seed), n))
-               .generate_state(1, np.uint64)[0] >> 1)
+    # The first 64 bits of SeedSequence((seed, n)).generate_state, halved.
+    return int(rng_mod.keys(seed, n)[0, 0]) >> 1
 
 
 def _cluster_cloud(result, step, k):

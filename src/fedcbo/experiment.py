@@ -109,7 +109,7 @@ def _initial_models(config, setup, seed, domain, n):
     """``n`` initial models (rows), model m drawn from stream (seed, domain, m):
     the agents' models under INIT, the baselines' server models under SERVER."""
     problem = config.problem
-    gens = [rng_mod.stream(seed, domain, m) for m in range(n)]
+    gens = rng_mod.streams(seed, domain, n)
     if setup.benchmark is not None:
         return np.stack([problem["init_mean"] + problem["init_std"]
                          * gen.standard_normal(setup.benchmark.dim) for gen in gens])

@@ -473,13 +473,14 @@ def generate_clustered_data(n_clusters, n_agents, n_per_agent, input_dim,
     agent_cluster = np.arange(n_agents) % n_clusters
     x = np.empty((n_agents, n_per_agent, input_dim))
     y = np.empty((n_agents, n_per_agent), dtype=np.int64)
-    for i in range(n_agents):
-        gen = rng_mod.stream(seed, rng_mod.DATA, i)
+    # Agent i's shard comes from stream i, cluster k's test set from stream
+    # n_agents + k.
+    gens = rng_mod.streams(seed, rng_mod.DATA, n_agents + n_clusters)
+    for i, gen in enumerate(gens[:n_agents]):
         x[i], y[i] = _sample_cluster(gen, n_per_agent, int(agent_cluster[i]), n_classes,
                                      n_clusters, input_dim, radius, blob_std, noise_std)
     test_sets = []
-    for k in range(n_clusters):
-        gen = rng_mod.stream(seed, rng_mod.DATA, n_agents + k)
+    for k, gen in enumerate(gens[n_agents:]):
         test_sets.append(
             _sample_cluster(gen, n_test, k, n_classes, n_clusters, input_dim,
                             radius, blob_std, noise_std)

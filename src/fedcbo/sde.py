@@ -48,16 +48,18 @@ class ParticleCloud:
 
 def make_cloud(problem, n_per_cluster, init, seed):
     """Fresh cloud with n_per_cluster particles per cluster, all init draws
-    taken from the per-particle streams."""
+    taken from the per-particle streams: row i is the first ``dim`` normals
+    of stream i, scaled and shifted as one block."""
     if n_per_cluster < 1:
         raise InvalidParameterError("n_per_cluster must be >= 1")
     k = problem.n_clusters
     n = k * n_per_cluster
     labels = np.repeat(np.arange(k), n_per_cluster)
     streams = rng_mod.agent_streams(seed, n)
-    positions = np.empty((n, problem.dim))
-    for i in range(n):
-        positions[i] = init.mean + init.std * streams[i].standard_normal(problem.dim)
+    z = np.empty((n, problem.dim))
+    for row, gen in zip(z, streams):
+        gen.standard_normal(out=row)
+    positions = init.mean + init.std * z
     return ParticleCloud(positions=positions, labels=labels, streams=streams)
 
 

@@ -471,6 +471,19 @@ def test_plot_export_takes_only_its_own_flags(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["compare", "sde", "scan-meanfield"])
+def test_protocol_belongs_to_run_only(tmp_path, command, capsys):
+    # compare runs every protocol, sde and scan-meanfield none: an override
+    # would be ignored, so it is an argparse error before anything runs.
+    config_path = write_config(tmp_path, CLI_BENCHMARK)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config_path, "--protocol", "local",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--protocol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 ONE_AGENT = {
     "learner": {"problem": {"n_agents": 1, "n_clusters": 1},
                 "schedule": {"rounds": 1}, "seeds": [0]},

@@ -1,13 +1,16 @@
 """Particle dynamics: parameter validation, stream alignment, contraction
 behavior, step-size order, and divergence reporting."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from fedcbo import sde
+from fedcbo import rng, sde
 from fedcbo.errors import DivergenceError, InvalidParameterError
 from fedcbo.experiment import _trajectory_records, _write_jsonl
-from fedcbo.objectives import BenchmarkProblem, make_quadratic, make_well_problem
+from fedcbo.objectives import (BenchmarkProblem, make_centers_problem, make_quadratic,
+                               make_well_problem)
 from fedcbo.protocol import epsilon_for_round
 from fedcbo.sde import (HyperParams, InitSpec, cluster_consensus,
                         cluster_variances, decay_exponent_fit, em_step,
@@ -71,6 +74,33 @@ def test_make_cloud_layout_and_determinism():
     assert np.array_equal(cloud.positions, again.positions)
     other = make_cloud(prob, 5, InitSpec(std=2.0, mean=1.0), seed=1)
     assert not np.array_equal(cloud.positions, other.positions)
+
+
+def per_row_cloud(problem, n_per_cluster, init, seed):
+    """The per-particle start ``make_cloud`` used to build row by row."""
+    n = problem.n_clusters * n_per_cluster
+    streams = [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=(seed, rng.AGENT, i)))) for i in range(n)]
+    positions = np.empty((n, problem.dim))
+    for i in range(n):
+        positions[i] = init.mean + init.std * streams[i].standard_normal(problem.dim)
+    return positions, streams
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("n_per_cluster", [1, 7])
+@pytest.mark.parametrize("vector_mean", [False, True])
+def test_make_cloud_block_start_equals_per_row_start(dim, n_per_cluster, vector_mean):
+    centers = [np.full(dim, c) for c in (-2.0, 0.5, 3.0)]
+    problem = make_centers_problem("quadratic", dim, centers)
+    # InitSpec takes a scalar mean; make_cloud reads only .mean and .std.
+    init = (SimpleNamespace(mean=np.linspace(-1.0, 2.5, dim), std=0.7) if vector_mean
+            else InitSpec(std=1.3, mean=-0.25))
+    cloud = make_cloud(problem, n_per_cluster, init, seed=11)
+    positions, streams = per_row_cloud(problem, n_per_cluster, init, seed=11)
+    assert np.array_equal(cloud.positions, positions)
+    for gen, expected in zip(cloud.streams, streams, strict=True):
+        assert np.array_equal(gen.standard_normal(3), expected.standard_normal(3))
 
 
 def test_make_cloud_rejects_empty_clusters():
