@@ -24,7 +24,6 @@ class ConsensusPoint:
 
     value: np.ndarray
     total_weight: float
-    alpha: float
 
 
 def consensus_point(positions, losses, alpha):
@@ -51,8 +50,7 @@ def consensus_point(positions, losses, alpha):
         raise InvalidParameterError("non-finite particle position")
 
     value, total = gibbs_mean(positions.T[:, None, :], losses[None], alpha)
-    return ConsensusPoint(value=value[:, 0], total_weight=float(total[0]),
-                          alpha=float(alpha))
+    return ConsensusPoint(value=value[:, 0], total_weight=float(total[0]))
 
 
 def gibbs_mean(pt, losses, alpha):

@@ -220,8 +220,6 @@ def run_protocol(config, seed):
     empty for the baselines).  They belong in the manifest, never in the
     metric files.  A clamped download budget is logged once per run.
     """
-    if config.protocol not in _ROUNDS:
-        raise ConfigError([f"protocol: unknown protocol {config.protocol!r}"])
     setup = build_setup(config, seed)
     if config.protocol == "fedcbo" and setup.n_agents < 2:
         # No config rule: sde configs share the field and may run one particle.
@@ -439,18 +437,15 @@ def run_experiment(config, out_dir=None):
     return run_dir.manifest
 
 
-def compare_protocols(config, protocols=None, out_dir=None):
-    """Run several protocols on identical problems, seeds, and budgets.
+def compare_protocols(config, out_dir=None):
+    """Run every protocol on identical problems, seeds, and budgets.
 
     Every protocol reuses the same config (hence the same per-seed dataset,
     round count, and local-step budget), which is what makes the comparison
     equal-compute.  Writes comparison.csv and a manifest; returns a dict
     with the accuracy table and ordering flags.
     """
-    protocols = list(protocols or ("fedcbo", "ifca", "fedavg", "local"))
-    unknown = [p for p in protocols if p not in _ROUNDS]
-    if unknown:
-        raise ConfigError([f"protocol: unknown protocol {p!r}" for p in unknown])
+    protocols = ["fedcbo", "ifca", "fedavg", "local"]
     if config.problem["kind"] != "learner":
         raise ConfigError(["problem.kind: protocol comparison needs a learner problem"])
 
@@ -474,20 +469,12 @@ def compare_protocols(config, protocols=None, out_dir=None):
                 "acc_per_cluster_mean": [float(x) for x in per_cluster.mean(axis=0)],
             }
 
-        flags = {}
-        if "fedcbo" in table and "ifca" in table:
-            flags["fedcbo_within_1pt_of_ifca"] = bool(
-                table["fedcbo"]["acc_macro_mean"]
-                >= table["ifca"]["acc_macro_mean"] - 0.01
-            )
-        if {"fedcbo", "ifca", "fedavg", "local"} <= set(table):
-            clustered = min(table["fedcbo"]["acc_macro_mean"],
-                            table["ifca"]["acc_macro_mean"])
-            unclustered = max(table["fedavg"]["acc_macro_mean"],
-                              table["local"]["acc_macro_mean"])
-            flags["clustered_beat_unclustered_by_3pts"] = bool(
-                clustered >= unclustered + 0.03
-            )
+        acc = {protocol: entry["acc_macro_mean"] for protocol, entry in table.items()}
+        flags = {
+            "fedcbo_within_1pt_of_ifca": bool(acc["fedcbo"] >= acc["ifca"] - 0.01),
+            "clustered_beat_unclustered_by_3pts": bool(
+                min(acc["fedcbo"], acc["ifca"]) >= max(acc["fedavg"], acc["local"]) + 0.03),
+        }
 
         n_clusters = config.problem["n_clusters"]
         header = ["protocol", "acc_macro_mean", "acc_macro_std"] + [

@@ -24,13 +24,22 @@ def _clamp_rows(grads, bound):
     result does not depend on the other rows."""
     if bound <= 0:
         raise InvalidParameterError(f"gradient bound must be positive, got {bound}")
-    norms = np.linalg.norm(grads, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(grads, axis=1)
     over = norms > bound
     if not over.any():
         # Local training clamps every step and the clamp rarely fires; a
         # full-size product here would cost an allocation and its page faults.
         return grads
-    return grads * np.where(over, bound / np.maximum(norms, 1e-300), 1.0)[:, None]
+    out = grads * np.where(over, bound / np.maximum(norms, 1e-300), 1.0)[:, None]
+    huge = np.flatnonzero(np.isinf(norms))
+    huge = huge[np.isfinite(grads[huge]).all(axis=1)]
+    if huge.size:
+        # A finite row whose squared norm overflows: divide it by its largest
+        # entry first, so its norm and the rescale stay finite.
+        unit = grads[huge] / np.abs(grads[huge]).max(axis=1, keepdims=True)
+        out[huge] = unit * (bound / np.linalg.norm(unit, axis=1))[:, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,6 @@ class Objective:
     eval_many: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     grad_many: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     minimizer: Optional[np.ndarray] = None
-    grad_bound: float = DEFAULT_GRAD_BOUND
     grad_lipschitz: Optional[float] = None
 
     def losses(self, positions):
@@ -86,7 +94,6 @@ def make_quadratic(dim, center, scale=1.0, grad_bound=DEFAULT_GRAD_BOUND):
         eval_many=_eval_many,
         grad_many=_grad_many,
         minimizer=center,
-        grad_bound=grad_bound,
         grad_lipschitz=2.0 * scale,
     )
 
@@ -108,7 +115,6 @@ def make_rastrigin(dim, center, grad_bound=DEFAULT_GRAD_BOUND):
         eval_many=_eval_many,
         grad_many=_grad_many,
         minimizer=center,
-        grad_bound=grad_bound,
         grad_lipschitz=2.0 + 40.0 * np.pi**2,
     )
 

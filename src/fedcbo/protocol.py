@@ -141,12 +141,22 @@ class RoundLog:
                 "budget_clamps": self.budget_clamps}
 
 
-def _contract(own, stack, losses, hp):
+def _contract(own, stack, losses, hp, usable):
     """Each agent r moves own[r] toward the Gibbs consensus of stack[r]
     (k, dim) under its losses[r] (k,); the arithmetic of
-    ``consensus_point`` and ``local_aggregation``, one block at a time."""
+    ``consensus_point`` and ``local_aggregation``, one block at a time.
+    A column outside the (n, k) ``usable`` mask gets weight 0 and takes its
+    row's first usable column, so it moves neither clip bound.  Such a row
+    equals the contraction over its usable columns, up to the sign of zero
+    within 7 columns and to rounding beyond, where NumPy sums pairwise."""
+    rows, cols = np.nonzero(~usable)
+    if rows.size:
+        fill = np.argmax(usable, axis=1)[rows]
+        stack, losses = stack.copy(), losses.copy()
+        stack[rows, cols], losses[rows, cols] = stack[rows, fill], losses[rows, fill]
     shifted = losses - losses.min(axis=1, keepdims=True)
     weights = np.exp(-hp.alpha * shifted)
+    weights[rows, cols] = 0.0
     total = np.add.reduce(weights, axis=1)
     value = np.add.reduce(stack * weights[:, :, None], axis=1) / total[:, None]
     value = np.clip(value, stack.min(axis=1), stack.max(axis=1))
@@ -155,54 +165,40 @@ def _contract(own, stack, losses, hp):
 
 
 def _aggregate_block(agents, candidates, stack, losses, hp, scores, dropped):
-    """New models of a block of agents.  candidates[r] holds agent r's
-    download ids then its own id, stack[r] those models and losses[r]
-    their losses on agent r's data.  Adds the score deltas to ``scores``
-    and records dropped peers.
-
-    Rows with a non-finite loss take a one-row route through the same
-    arithmetic.  Returns (new models, first failing row or len(agents));
-    failures are raised for the lowest failing agent, as a serial sweep
-    over the agents would.
+    """New models of a block of agents, in one masked pass.  candidates[r]
+    holds agent r's download ids then its own id, stack[r] those models and
+    losses[r] their losses on agent r's data.  A peer with a non-finite loss
+    is dropped: weight 0, no score delta, listed in ``dropped``; the other
+    peers' deltas go into ``scores``.  An agent fails if its own loss or its
+    new model is not finite, or if it has no usable model.  Returns (new
+    models, first failing row or len(agents)).
     """
     peer_ids, peer_losses, own_loss = candidates[:, :-1], losses[:, :-1], losses[:, -1]
     own = stack[:, -1]
     k = stack.shape[1] if hp.include_self else stack.shape[1] - 1
-    fast = np.isfinite(losses).all(axis=1) if hp.include_self \
-        else np.isfinite(peer_losses).all(axis=1)
-    fast &= k > 0
-    new = np.empty_like(own)
-    new[fast] = _contract(own[fast], stack[fast, :k], losses[fast, :k], hp)
-    scores[agents[fast, None], peer_ids[fast]] += own_loss[fast, None] - peer_losses[fast]
-
-    diverged = fast & ~np.isfinite(new).all(axis=1)
-    first = int(np.argmax(diverged)) if diverged.any() else len(agents)
-    for r in np.flatnonzero(~fast):
-        if r > first:
-            break
+    usable = np.isfinite(losses[:, :k])
+    # With include_self off and no peer, k is 0 and every agent fails.
+    new = _contract(own, stack[:, :k], losses[:, :k], hp, usable) if k else own.copy()
+    failed = ~np.isfinite(own_loss) | ~usable.any(axis=1) | ~np.isfinite(new).all(axis=1)
+    first = int(np.argmax(failed)) if failed.any() else len(agents)
+    kept = np.isfinite(peer_losses)
+    rows, cols = np.nonzero(kept)
+    scores[agents[rows], peer_ids[rows, cols]] += own_loss[rows] - peer_losses[rows, cols]
+    for r in np.flatnonzero(~kept[:first].all(axis=1)):
         j = int(agents[r])
-        keep = np.isfinite(peer_losses[r])
-        if not keep.all():
-            dropped[j] = peer_ids[r, ~keep].tolist()
-            log.warning("agent %d: dropped models with non-finite loss: %s", j, dropped[j])
-        if hp.include_self and not np.isfinite(own_loss[r]):
-            raise RuntimeError(f"aggregation failed for agent {j}: own loss is non-finite")
-        cols = np.append(keep, hp.include_self)
-        if not cols.any():
-            raise RuntimeError(f"aggregation failed for agent {j}: no usable models")
-        new[r] = _contract(own[r:r + 1], stack[r:r + 1, cols], losses[r:r + 1, cols], hp)[0]
-        scores[j, peer_ids[r, keep]] += own_loss[r] - peer_losses[r, keep]
-        if not np.isfinite(new[r]).all():
-            first = r
+        dropped[j] = peer_ids[r, ~kept[r]].tolist()
+        log.warning("agent %d: dropped models with non-finite loss: %s", j, dropped[j])
     return new, first
 
 
 def _divergence(round_index, agent, phase):
     return DivergenceError(
-        f"round {round_index}, agent {agent}: model became non-finite in {phase}",
+        f"round {round_index}, agent {agent}: non-finite values in {phase}",
         step=round_index, index=agent)
 
 
+# Overflow surfaces in the round's finiteness checks; NumPy's warnings would repeat them.
+@np.errstate(over="ignore", invalid="ignore")
 def fedcbo_round(models, tasks, scores, hp, round_index, streams,
                  participation=1.0, round_rng=None):
     """Advance every participating agent by one full round.
@@ -215,10 +211,11 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
     written.  Per-agent randomness (mini-batches, selection) comes from
     ``streams``; ``round_rng`` only picks the participant set.
 
-    Returns (new_models, new_scores, RoundLog).  The input state is never
-    mutated: any per-agent failure aborts the round atomically, and a
-    divergence names the round (``step``) and the lowest failing agent
-    (``index``).
+    Returns (new_models, new_scores, RoundLog); the input state is never
+    mutated.  An agent fails if its updated model, own loss or aggregated
+    model is not finite, or if it has no usable model; the round then aborts
+    with a DivergenceError naming the round (``step``) and the lowest
+    failing agent (``index``).  Peers with a non-finite loss are dropped.
     """
     n_agents = len(tasks)
     if models.shape[0] != n_agents or scores.shape != (n_agents, n_agents):

@@ -13,7 +13,7 @@ stream (z first, then z~).  The noise amplitudes are scalar norms times an
 isotropic Gaussian, so noise vanishes as the cloud reaches consensus.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -251,7 +251,6 @@ class SdeResult:
     final_labels: np.ndarray
     checkpoints: dict            # step -> positions snapshot
     theory_regime: Optional[bool]
-    hp: HyperParams = field(repr=False)
 
     @property
     def variance_sums(self):
@@ -388,7 +387,6 @@ def _integrate(problem, n_per_cluster, hp, t_steps, seeds, init, record_every,
             final_labels=labels.copy(),
             checkpoints=checkpoints[r],
             theory_regime=regime,
-            hp=hp,
         )
         for r in range(runs)
     ]

@@ -288,9 +288,6 @@ def test_compare_runs_all_protocols_on_equal_budgets(tmp_path):
 def test_compare_rejects_benchmarks_and_unknown_protocols(tmp_path):
     with pytest.raises(ConfigError):
         compare_protocols(tiny_benchmark(), out_dir=tmp_path)
-    with pytest.raises(ConfigError):
-        compare_protocols(tiny_learner(), protocols=["fedcbo", "gossip"],
-                          out_dir=tmp_path)
 
 
 def test_sde_experiment_writes_trajectories_and_rates(tmp_path):
@@ -527,6 +524,23 @@ def test_cli_divergence_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 3
     assert "divergence" in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_run_exits_3_naming_round_and_agent(tmp_path, capsys):
+    # Every loss overflows to inf in round 0; this run used to end in a
+    # RuntimeError traceback with exit 1.
+    overflowing = {"problem": {"kind": "benchmark", "n_per_cluster": 4,
+                               "init_mean": 1e160},
+                   "schedule": {"rounds": 2}, "hyperparams": {"download_budget": 2},
+                   "seeds": [0]}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, overflowing),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "round 0, agent 0:" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_compare_scan_and_sde_commands(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Analytic objectives: values, gradients, clamping, and problem metadata."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,23 @@ def test_gradient_clamp_engages_far_from_minimizer():
     batch = obj.gradients(np.array([[100.0, 0.0], [0.1, 0.0]]))
     assert abs(np.linalg.norm(batch[0]) - 10.0) < 1e-12
     assert np.allclose(batch[1], [0.2, 0.0], atol=1e-12)
+
+
+def test_clamp_puts_rows_with_overflowing_norms_on_the_ball():
+    # |g|^2 overflows for these rows, so their norm reads inf; they used to
+    # come back as zeros, with an overflow warning.
+    assert np.allclose(make_quadratic(2, np.zeros(2)).gradients([[1e200, 1e200]]),
+                       [[1e3 / np.sqrt(2.0)] * 2], rtol=1e-15, atol=0.0)
+    grads = np.array([[1e200, -3e199], [30.0, 40.0], [0.5, 0.0], [-2e300, 7e299]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _clamp_rows(grads, 10.0)
+    for r in (0, 3):
+        assert abs(np.linalg.norm(out[r]) - 10.0) <= 1e-14
+        unit = grads[r] / np.abs(grads[r]).max()
+        assert np.allclose(out[r], unit * 10.0 / np.linalg.norm(unit), rtol=1e-15, atol=0.0)
+    # Ordinary rows, clamped or not, keep their bits.
+    assert out[1:3].tobytes() == _clamp_rows(grads[1:3], 10.0).tobytes()
 
 
 def test_clamp_is_inactive_inside_free_radius():

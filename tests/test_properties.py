@@ -617,11 +617,83 @@ def test_contract_equals_consensus_point_row_by_row(n_agents, k, dim, data):
     hp = HyperParams(alpha=data.draw(st.sampled_from([0.5, 10.0, 100.0])),
                      consensus_drift=data.draw(st.floats(0.0, 5.0)),
                      step_size=data.draw(st.floats(0.01, 0.5)))
-    got = _contract(own, stack, losses, hp)
+    got = _contract(own, stack, losses, hp, np.ones(losses.shape, dtype=bool))
     step = hp.consensus_drift * hp.step_size
     for r in range(n_agents):
         value = consensus_point(stack[r], losses[r], hp.alpha).value
         assert same_bits(got[r], own[r] - step * (own[r] - value))
+
+
+class InjectedLosses(ObjectiveTasks):
+    """Analytic tasks whose loss of agent j's download in column c is
+    replaced by ``bad[j, c]``."""
+
+    def __init__(self, objectives, bad):
+        super().__init__(objectives)
+        self.bad = bad
+
+    def losses(self, agents, candidates):
+        out = super().losses(agents, candidates)
+        for (j, c), value in self.bad.items():
+            out[agents == j, c] = value
+        return out
+
+
+@SETTINGS
+@given(st.integers(2, 12), st.integers(1, 10), st.booleans(), st.integers(1, 3), st.data())
+def test_round_masks_nonfinite_peer_losses(n_agents, budget, include_self, dim, data):
+    budget = min(budget, n_agents - 1)
+    objectives = [make_quadratic(dim, c) for c in coordinates(data.draw, n_agents, dim)]
+    models = coordinates(data.draw, n_agents, dim)
+    scores = np.reshape(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5]),
+                                           min_size=n_agents**2, max_size=n_agents**2)),
+                        (n_agents, n_agents))
+    hit = data.draw(st.lists(st.booleans(), min_size=n_agents * budget,
+                             max_size=n_agents * budget))
+    values = st.sampled_from([np.nan, np.inf, -np.inf])
+    bad = {(j, c): data.draw(values) for j in range(n_agents) for c in range(budget)
+           if hit[j * budget + c]}
+    hp = HyperParams(alpha=data.draw(st.sampled_from([0.5, 10.0, 100.0])),
+                     consensus_drift=data.draw(st.floats(0.0, 5.0)),
+                     step_size=data.draw(st.floats(0.01, 0.5)), local_steps=0,
+                     download_budget=budget, include_self=include_self)
+    tasks = InjectedLosses(objectives, bad)
+    streams = rng_mod.agent_streams(0, n_agents)
+
+    stranded = [j for j in range(n_agents)
+                if not include_self and all((j, c) in bad for c in range(budget))]
+    if stranded:
+        with pytest.raises(DivergenceError) as err:
+            fedcbo_round(models, tasks, scores, hp, 0, streams)
+        assert err.value.index == stranded[0]
+        return
+    new_models, new_scores, entry = fedcbo_round(models, tasks, scores, hp, 0, streams)
+
+    width = budget + include_self
+    step = hp.consensus_drift * hp.step_size
+    want_scores = scores.copy()
+    for j in range(n_agents):
+        ids = entry.selections[j] + [j]
+        stack = models[ids]
+        losses = ObjectiveTasks(objectives).losses(np.array([j]), stack[None])[0]
+        cut = [c for c in range(budget) if (j, c) in bad]
+        assert entry.dropped.get(j, []) == [ids[c] for c in cut]
+        for c in range(budget):
+            if c not in cut:
+                want_scores[j, ids[c]] += losses[-1] - losses[c]
+        if not cut:
+            want = _contract(models[j][None], stack[None, :width], losses[None, :width],
+                             hp, np.ones((1, width), dtype=bool))[0]
+            assert same_bits(new_models[j], want)
+            continue
+        kept = [c for c in range(width) if c not in cut]
+        want = models[j] - step * (models[j] - consensus_point(stack[kept], losses[kept],
+                                                               hp.alpha).value)
+        if width <= 7:   # sequential sums: the zero weights add exactly
+            assert np.array_equal(new_models[j], want)
+        else:            # pairwise sums group the weights by position
+            assert np.allclose(new_models[j], want, rtol=1e-14, atol=1e-14)
+    assert same_bits(new_scores, want_scores)
 
 
 @st.composite

@@ -4,6 +4,7 @@ snapshot semantics, and atomic failure handling."""
 import dataclasses
 import logging
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ from fedcbo.errors import DivergenceError, InvalidParameterError
 from fedcbo.experiment import build_setup, run_protocol
 from fedcbo.learners import ObjectiveTasks
 from fedcbo.objectives import make_quadratic
-from fedcbo.protocol import (_round_half_up, fedcbo_round, greedy_sample,
+from fedcbo.protocol import (_contract, _round_half_up, fedcbo_round, greedy_sample,
                              local_aggregation, oracle_sr, selection_ratio)
 from fedcbo.sde import HyperParams
 
@@ -185,6 +186,19 @@ def test_local_aggregation_drops_nonfinite_peers():
     assert 2 not in result.score_deltas
 
 
+def test_masked_model_stays_out_of_the_clip_box():
+    # The two usable models at 0.1 average to 0.10000000000000002, so only a
+    # clip box without the masked model at 5.0 brings the result back to 0.1.
+    hp = HyperParams(consensus_drift=1.0, step_size=1.0, alpha=1.0)
+    stack = np.array([[[0.1], [5.0], [0.1]]])
+    losses = np.array([[0.2, np.nan, 0.0]])
+    got = _contract(stack[:, -1], stack, losses, hp, np.isfinite(losses))
+    assert got[0, 0] == 0.1
+    compact = _contract(stack[:, -1], stack[:, [0, 2]], losses[:, [0, 2]], hp,
+                          np.array([[True, True]]))
+    assert compact[0, 0] == 0.1
+
+
 def two_agent_setup(n_agents=2):
     obj = make_quadratic(1, np.zeros(1))
     tasks = ObjectiveTasks([obj] * n_agents)
@@ -266,7 +280,7 @@ def test_round_failure_is_atomic_and_names_the_agent():
     models, tasks, scores, hp, streams = two_agent_setup()
     tasks = ExplodingTasks(tasks.objectives)
     before = models.copy()
-    with pytest.raises(RuntimeError, match="agent 1"):
+    with pytest.raises(DivergenceError, match="round 0, agent 1:"):
         fedcbo_round(models, tasks, scores, hp, 0, streams)
     assert np.array_equal(models, before)
     assert scores[0, 1] == 0.0
@@ -279,6 +293,45 @@ class DivergingTasks(ObjectiveTasks):
         out = super().train(thetas, agents, steps, rate, streams)
         out[agents == 0] = np.inf
         return out
+
+
+class OwnLossNanTasks(ObjectiveTasks):
+    """Agent 1's loss of its own model is nan; its peers' losses stay finite."""
+
+    def losses(self, agents, candidates):
+        out = super().losses(agents, candidates)
+        out[agents == 1, -1] = np.nan
+        return out
+
+
+def test_nan_own_loss_without_self_raises_divergence():
+    # Without include_self the own model is left out of the consensus, but
+    # its loss enters every score delta; the nan used to reach the scores.
+    models, tasks, scores, hp, streams = two_agent_setup(n_agents=3)
+    tasks = OwnLossNanTasks(tasks.objectives)
+    hp = dataclasses.replace(hp, include_self=False)
+    with pytest.raises(DivergenceError) as err:
+        fedcbo_round(models, tasks, scores, hp, 2, streams)
+    assert (err.value.step, err.value.index) == (2, 1)
+    assert "round 2, agent 1:" in str(err.value)
+
+
+def test_single_participant_without_self_raises_divergence():
+    # No peer and no own model leave nothing to aggregate.
+    models, tasks, scores, hp, streams = two_agent_setup(n_agents=1)
+    hp = dataclasses.replace(hp, include_self=False)
+    with pytest.raises(DivergenceError) as err:
+        fedcbo_round(models, tasks, scores, hp, 0, streams)
+    assert (err.value.step, err.value.index) == (0, 0)
+
+
+def test_diverging_round_does_not_leak_overflow_warnings():
+    # Near 1e160 every squared gradient norm and every loss overflows.
+    models, tasks, scores, hp, streams = two_agent_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="round 0, agent 0:"):
+            fedcbo_round(models + 1e160, tasks, scores, hp, 0, streams)
 
 
 def test_nonfinite_local_update_raises_divergence():
