@@ -31,7 +31,8 @@ def _add_shared(parser):
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results are identical for any value")
+                        help="threads for the agent blocks of run and compare, at most "
+                             "the usable CPUs; results are identical for any value")
 
 
 def build_parser():
@@ -98,11 +99,11 @@ def main(argv=None):
 
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "run":
-            manifest = run_experiment(config, out_dir=args.out)
+            manifest = run_experiment(config, out_dir=args.out, threads=args.threads)
             print(f"run complete: {len(manifest['metrics_files'])} seed file(s), "
                   f"config hash {manifest['config_hash'][:12]}")
         elif args.command == "compare":
-            result = compare_protocols(config, out_dir=args.out)
+            result = compare_protocols(config, out_dir=args.out, threads=args.threads)
             for protocol, entry in result["table"].items():
                 print(f"{protocol}: macro accuracy "
                       f"{entry['acc_macro_mean']:.4f} +- {entry['acc_macro_std']:.4f}")

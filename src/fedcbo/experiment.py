@@ -36,8 +36,8 @@ from . import __version__
 from . import rng as rng_mod
 from .baselines import fedavg_round, ifca_round, local_only_round
 from .diagnostics import meanfield_scan, theoretical_rate
-from .errors import ConfigError
-from .learners import (ObjectiveTasks, ShardTasks, accuracy, agent_blocks,
+from .errors import ConfigError, DivergenceError
+from .learners import (ObjectiveTasks, ShardTasks, WorkerPool, accuracy, agent_blocks,
                        generate_clustered_data, make_model)
 from .objectives import make_centers_problem, make_well_problem
 from .protocol import fedcbo_round, oracle_sr, selection_ratio
@@ -72,8 +72,9 @@ def build_benchmark(problem_cfg):
                              offset=problem_cfg["offset"], scale=problem_cfg["scale"])
 
 
-def build_setup(config, seed):
-    """Instantiate tasks and initial models for one seed."""
+def build_setup(config, seed, pool=None):
+    """Instantiate tasks and initial models for one seed.  A learner
+    problem's tasks run their agent blocks on ``pool`` (learners.WorkerPool)."""
     problem = config.problem
     hp = config.hp()
     if problem["kind"] == "benchmark":
@@ -95,7 +96,7 @@ def build_setup(config, seed):
         arch = make_model(problem["model"], problem["input_dim"], problem["n_classes"],
                           hidden=problem["hidden"], activation=problem["activation"])
         tasks = ShardTasks(arch, dataset.x, dataset.y, batch_size=hp.batch_size,
-                           momentum=hp.momentum)
+                           momentum=hp.momentum, pool=pool)
         setup = ProblemSetup(tasks=tasks, initial_models=None,
                              agent_cluster=dataset.agent_cluster,
                              n_clusters=dataset.n_clusters,
@@ -152,7 +153,9 @@ def _mean_own_loss(setup, models):
 # Per-protocol round generators.  Each runs the configured number of rounds
 # and yields, per round, (record, per-agent models, candidates); candidates
 # is None when every agent is scored on its own model, else the list of
-# global models the best-loss rule picks from.  Only fedcbo adds counters.
+# global models the best-loss rule picks from.  A round that reports no
+# loss of its own leaves mean_local_loss unset for ``_score``.  Only fedcbo
+# adds counters.
 
 def _fedcbo_rounds(config, setup, seed, hp, streams, counters):
     models = setup.initial_models.copy()
@@ -181,19 +184,15 @@ def _local_rounds(config, setup, seed, hp, streams, counters):
     models = setup.initial_models.copy()
     for n in range(config.schedule["rounds"]):
         models = local_only_round(models, setup.tasks, hp, streams)
-        record = _base_record(n, setup.n_agents)
-        record["mean_local_loss"] = _mean_own_loss(setup, models)
-        yield record, models, None
+        yield _base_record(n, setup.n_agents), models, None
 
 
 def _fedavg_rounds(config, setup, seed, hp, streams, counters):
     global_model = _initial_models(config, setup, seed, rng_mod.SERVER, 1)[0]
     for n in range(config.schedule["rounds"]):
         global_model = fedavg_round(global_model, setup.tasks, hp, streams)
-        record = _base_record(n, setup.n_agents)
         tiled = np.tile(global_model, (setup.n_agents, 1))
-        record["mean_local_loss"] = _mean_own_loss(setup, tiled)
-        yield record, tiled, [global_model]
+        yield _base_record(n, setup.n_agents), tiled, [global_model]
 
 
 def _ifca_rounds(config, setup, seed, hp, streams, counters):
@@ -213,14 +212,39 @@ _ROUNDS = {"fedcbo": _fedcbo_rounds, "local": _local_rounds,
            "fedavg": _fedavg_rounds, "ifca": _ifca_rounds}
 
 
-def run_protocol(config, seed):
+def _score(setup, record, models, candidates):
+    """Fill in a round's scores: its mean own loss if the round reported
+    none, then test accuracy (learner problems) or cluster variances
+    (benchmark problems).  A loss or variance that is not finite is a
+    divergence naming the round."""
+    if record["mean_local_loss"] is None:
+        record["mean_local_loss"] = _mean_own_loss(setup, models)
+    if setup.dataset is not None:
+        per_cluster = (_per_agent_accuracy(setup, models) if candidates is None
+                       else _best_loss_accuracy(setup, candidates))
+        record["acc_per_cluster"] = [float(a) for a in per_cluster]
+        record["acc_macro"] = float(np.mean(per_cluster))
+    if setup.benchmark is not None:
+        v = cluster_variances(models, setup.agent_cluster, setup.benchmark.minimizers)
+        record["v_per_cluster"] = [float(x) for x in v]
+        record["v_sum"] = float(np.nansum(v))
+    for key in ("mean_local_loss", "v_per_cluster"):
+        if record[key] is not None and not np.isfinite(record[key]).all():
+            n = record["round"]
+            raise DivergenceError(f"round {n}: non-finite values in {key}", step=n)
+
+
+def run_protocol(config, seed, pool=None, final_only=False):
     """Run one protocol for one seed; returns (records, counters).
 
-    ``counters`` totals the fedcbo round counters (see protocol.RoundLog;
-    empty for the baselines).  They belong in the manifest, never in the
-    metric files.  A clamped download budget is logged once per run.
+    Every round is scored, or with ``final_only`` only the last one; the
+    other records then carry no scores.  ``pool`` runs the agent blocks of
+    learner problems.  ``counters`` totals the fedcbo round counters (see
+    protocol.RoundLog; empty for the baselines).  They belong in the
+    manifest, never in the metric files.  A clamped download budget is
+    logged once per run.
     """
-    setup = build_setup(config, seed)
+    setup = build_setup(config, seed, pool)
     if config.protocol == "fedcbo" and setup.n_agents < 2:
         # No config rule: sde configs share the field and may run one particle.
         raise ConfigError([f"protocol: fedcbo needs at least 2 agents, the problem "
@@ -228,17 +252,11 @@ def run_protocol(config, seed):
     streams = rng_mod.agent_streams(seed, setup.n_agents)
     counters = Counter()
     records = []
+    final = config.schedule["rounds"] - 1
     rounds = _ROUNDS[config.protocol](config, setup, seed, config.hp(), streams, counters)
     for record, models, candidates in rounds:
-        if setup.dataset is not None:
-            per_cluster = (_per_agent_accuracy(setup, models) if candidates is None
-                           else _best_loss_accuracy(setup, candidates))
-            record["acc_per_cluster"] = [float(a) for a in per_cluster]
-            record["acc_macro"] = float(np.mean(per_cluster))
-        if setup.benchmark is not None:
-            v = cluster_variances(models, setup.agent_cluster, setup.benchmark.minimizers)
-            record["v_per_cluster"] = [float(x) for x in v]
-            record["v_sum"] = float(np.nansum(v))
+        if not final_only or record["round"] == final:
+            _score(setup, record, models, candidates)
         records.append(record)
     return records, dict(counters)
 
@@ -416,46 +434,49 @@ def is_complete(run_dir):
     return _read_manifest(run_dir) is not None
 
 
-def run_experiment(config, out_dir=None):
+def run_experiment(config, out_dir=None, threads=1):
     """Execute the configured protocol for every seed and persist results.
 
+    Agent blocks run on up to ``threads`` threads, with identical results.
     Returns the manifest dict.  On failure all partial outputs are removed
     and the exception propagates.
     """
-    with _RunDir(config, "run", out_dir) as run_dir:
+    with _RunDir(config, "run", out_dir) as run_dir, WorkerPool(threads) as pool:
         wall_times, counters, finals = {}, {}, []
         for seed in config.seeds:
             t0 = time.time()
-            records, counters[str(seed)] = run_protocol(config, seed)
+            records, counters[str(seed)] = run_protocol(config, seed, pool)
             wall_times[str(seed)] = round(time.time() - t0, 3)
             _write_jsonl(run_dir.path(f"metrics_seed{seed}.jsonl", "metrics"), records)
             finals.append(records[-1] if records else None)
         write_csv(run_dir.path("summary.csv", "summary"), ["metric", "mean", "std"],
                   _summary_rows(finals))
         run_dir.manifest.update(protocol=config.protocol, wall_time_s=wall_times,
-                                counters=counters)
+                                counters=counters, threads=pool.size)
     return run_dir.manifest
 
 
-def compare_protocols(config, out_dir=None):
+def compare_protocols(config, out_dir=None, threads=1):
     """Run every protocol on identical problems, seeds, and budgets.
 
     Every protocol reuses the same config (hence the same per-seed dataset,
     round count, and local-step budget), which is what makes the comparison
-    equal-compute.  Writes comparison.csv and a manifest; returns a dict
-    with the accuracy table and ordering flags.
+    equal-compute.  Only each run's final round is scored.  The protocol and
+    seed runs go one after another; their agent blocks run on up to
+    ``threads`` threads.  Writes comparison.csv and a manifest; returns a
+    dict with the accuracy table and ordering flags.
     """
     protocols = ["fedcbo", "ifca", "fedavg", "local"]
     if config.problem["kind"] != "learner":
         raise ConfigError(["problem.kind: protocol comparison needs a learner problem"])
 
-    with _RunDir(config, "compare", out_dir) as run_dir:
+    with _RunDir(config, "compare", out_dir) as run_dir, WorkerPool(threads) as pool:
         table = {}
         for protocol in protocols:
             cfg = dataclasses.replace(config, protocol=protocol)
             macro, per_cluster = [], []
             for seed in config.seeds:
-                records, _ = run_protocol(cfg, seed)
+                records, _ = run_protocol(cfg, seed, pool, final_only=True)
                 if not records:
                     raise ConfigError(["schedule.rounds: comparison needs rounds >= 1"])
                 last = records[-1]
@@ -487,7 +508,8 @@ def compare_protocols(config, out_dir=None):
                          f"{entry['acc_macro_std']:.10g}"] +
                         [f"{x:.10g}" for x in entry["acc_per_cluster_mean"]])
         write_csv(run_dir.path("comparison.csv", "summary"), header, rows)
-        run_dir.manifest.update(protocols=protocols, table=table, flags=flags)
+        run_dir.manifest.update(protocols=protocols, table=table, flags=flags,
+                                threads=pool.size)
     return {"table": table, "flags": flags, "out_dir": str(run_dir.out_dir)}
 
 

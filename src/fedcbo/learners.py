@@ -12,6 +12,8 @@ machinery can treat them as points in R^d.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,25 +30,145 @@ from .objectives import DEFAULT_GRAD_BOUND, _clamp_rows
 BLOCK_DOUBLES = 1 << 17
 
 
+class WorkerPool:
+    """Runs independent jobs on up to ``threads`` threads, capped at the CPUs
+    this process may use; the calling thread is one of them.
+
+    ``map`` hands out its items in order to whichever thread asks next and
+    returns once every item has run, so a job that writes only its own rows
+    of a preallocated result gives the same bits on any number of threads.
+    A pool of one starts no thread, and ``map`` is then a plain loop on the
+    caller.  Worker threads start on the first ``map`` that has work for
+    them and end at ``close``; use the pool as a context manager so that no
+    thread outlives it.
+    """
+
+    def __init__(self, threads=1):
+        self.size = max(1, min(int(threads), len(os.sched_getaffinity(0))))
+        self._workers = []
+        self._wake = threading.Condition()
+        self._job = None
+        self._posted = 0
+        self._closed = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+        return False
+
+    def map(self, fn, items):
+        """``fn(item)`` for every item, on at most ``min(size, len(items))``
+        threads.  Once an item fails no further item starts; the exception
+        of the lowest failed item is raised when every started item has
+        finished."""
+        job = _Job(fn, list(items), np.geterr())
+        helpers = min(self.size, len(job.items)) - 1
+        if helpers > 0:
+            with self._wake:
+                while len(self._workers) < helpers and not self._closed:
+                    worker = threading.Thread(target=self._serve, daemon=True,
+                                              name=f"fedcbo-worker-{len(self._workers)}")
+                    worker.start()
+                    self._workers.append(worker)
+                self._job, self._posted = job, self._posted + 1
+                self._wake.notify_all()
+        try:
+            job.work()
+        finally:
+            job.wait()
+            self._job = None
+        if job.error is not None:
+            raise job.error[1]
+
+    def _serve(self):
+        seen = 0
+        while True:
+            with self._wake:
+                while self._posted == seen and not self._closed:
+                    self._wake.wait()
+                if self._closed:
+                    return
+                seen, job = self._posted, self._job
+            if job is not None:
+                with np.errstate(**job.errstate):
+                    job.work()
+            job = None
+
+    def close(self):
+        """Stop and join every worker thread."""
+        with self._wake:
+            self._closed = True
+            self._wake.notify_all()
+        for worker in self._workers:
+            worker.join()
+        self._workers.clear()
+
+
+class _Job:
+    """One ``WorkerPool.map`` call: the items not yet started, the items
+    running, and the first failure by item order."""
+
+    def __init__(self, fn, items, errstate):
+        self.fn, self.items, self.errstate = fn, items, errstate
+        self.next = self.running = 0
+        self.error = None          # (item index, exception)
+        self.done = threading.Condition()
+
+    def work(self):
+        while True:
+            with self.done:
+                if self.error is not None or self.next == len(self.items):
+                    return
+                index, self.next, self.running = self.next, self.next + 1, self.running + 1
+            try:
+                self.fn(self.items[index])
+            except BaseException as exc:
+                with self.done:
+                    if self.error is None or index < self.error[0]:
+                        self.error = (index, exc)
+            finally:
+                with self.done:
+                    self.running -= 1
+                    if not self.running:
+                        self.done.notify_all()
+
+    def wait(self):
+        with self.done:
+            while self.running:
+                self.done.wait()
+
+
 class _Workspace:
-    """A model's scratch memory: one flat, grow-only buffer per name, sliced
-    and reshaped to each request.  Reusing it across steps and rounds spares
-    the allocator the block-sized arrays it would otherwise free and fault
-    back in at every step.  A buffer never holds more than BLOCK_DOUBLES
-    doubles; a larger request gets a fresh temporary.  A view it hands out
-    is valid until the next request under the same name, so nothing a model
-    returns may be such a view."""
+    """A model's scratch memory: per thread, one flat, grow-only buffer per
+    name, sliced and reshaped to each request.  Reusing it across steps and
+    rounds spares the allocator the block-sized arrays it would otherwise
+    free and fault back in at every step.  A buffer never holds more than
+    BLOCK_DOUBLES doubles; a larger request gets a fresh temporary.  A view
+    it hands out is valid until the same thread's next request under the
+    same name, so nothing a model returns may be such a view."""
 
     def __init__(self):
-        self.buffers = {}
+        self._local = threading.local()
+
+    @property
+    def buffers(self):
+        """The calling thread's buffers, by name."""
+        try:
+            return self._local.buffers
+        except AttributeError:
+            self._local.buffers = {}
+            return self._local.buffers
 
     def take(self, name, shape):
         size = math.prod(shape)
         if size > BLOCK_DOUBLES:
             return np.empty(shape)
-        flat = self.buffers.get(name)
+        buffers = self.buffers
+        flat = buffers.get(name)
         if flat is None or flat.size < size:
-            flat = self.buffers[name] = np.empty(size)
+            flat = buffers[name] = np.empty(size)
         return flat[:size].reshape(shape)
 
 
@@ -55,36 +177,47 @@ def _softmax(logits):
     # A running maximum over the few class columns is much faster than a max
     # reduction over a short last axis.  It can differ from that reduction
     # only in the sign of a zero, which exp() does not see.
+    n_classes = logits.shape[-1]
     top = logits[..., :1].copy()
-    for k in range(1, logits.shape[-1]):
+    for k in range(1, n_classes):
         np.maximum(top, logits[..., k:k + 1], out=top)
     logits -= top
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    if n_classes < 8:
+        # NumPy sums fewer than 8 terms of a last axis in order, so adding
+        # the columns in order gives its bits, faster.
+        total = top
+        np.copyto(total, logits[..., :1])
+        for k in range(1, n_classes):
+            total += logits[..., k:k + 1]
+    else:
+        total = logits.sum(axis=-1, keepdims=True)
+    logits /= total
     return logits
 
 
 def _label_index(probs, labels):
-    """``labels`` shaped as take/put_along_axis indices into ``probs``."""
-    index = labels[..., None]
-    return index.reshape((1,) * (probs.ndim - index.ndim) + index.shape)
+    """Flat indices of each sample's label entry in the C-contiguous
+    ``probs`` (..., n, c), shaped like the samples (..., n)."""
+    n_classes = probs.shape[-1]
+    index = np.arange(0, probs.size, n_classes).reshape(probs.shape[:-1])
+    index += labels
+    return index
 
 
-def _cross_entropy(probs, labels):
-    # take_along_axis, unlike probs[..., arange(n), labels], yields a
-    # contiguous (..., n) array, so the mean sums in the same order for a
-    # batch as for a single model.
-    picked = np.take_along_axis(probs, _label_index(probs, labels), axis=-1)[..., 0]
-    p = np.clip(picked, 1e-300, None)
-    return -np.mean(np.log(p), axis=-1)
+def _cross_entropy(probs, index):
+    # The picked probabilities form a contiguous (..., n) array, so the
+    # mean sums in the same order for a batch as for a single model.
+    picked = probs.reshape(-1)[index]
+    np.clip(picked, 1e-300, None, out=picked)
+    return -np.mean(np.log(picked, out=picked), axis=-1)
 
 
-def _output_delta(probs, labels):
-    """d(mean cross-entropy)/d(logits), computed in place of ``probs``."""
-    index = _label_index(probs, labels)
-    np.put_along_axis(probs, index,
-                      np.take_along_axis(probs, index, axis=-1) - 1.0, axis=-1)
-    probs /= labels.shape[-1]
+def _output_delta(probs, index):
+    """d(mean cross-entropy)/d(logits), computed in place of ``probs``,
+    which must be C-contiguous for its flat view to write through."""
+    probs.reshape(-1)[index] -= 1.0
+    probs /= probs.shape[-2]
     return probs
 
 
@@ -124,13 +257,15 @@ class LogisticModel:
         return x @ w + b[..., None, :]
 
     def loss(self, theta, x, y):
-        return _cross_entropy(_softmax(self.logits(theta, x)), y)
+        probs = _softmax(self.logits(theta, x))
+        return _cross_entropy(probs, _label_index(probs, y))
 
     def loss_grad(self, theta, x, y):
         lead = theta.shape[:-1]
         probs = _softmax(self.logits(theta, x))
-        loss = _cross_entropy(probs, y)
-        delta = _output_delta(probs, y)
+        index = _label_index(probs, y)
+        loss = _cross_entropy(probs, index)
+        delta = _output_delta(probs, index)
         grad_w = _t(x) @ delta
         grad_b = delta.sum(axis=-2)
         return loss, np.concatenate([grad_w.reshape(lead + (-1,)), grad_b], axis=-1)
@@ -144,10 +279,10 @@ class MlpModel:
     broadcast as for ``LogisticModel``.
 
     The hidden layer, the logits and the back-propagated error live in a
-    workspace owned by the instance and reused from call to call, at most
-    BLOCK_DOUBLES doubles per buffer (about 3 MiB in all).  Every array a
-    method returns is fresh and never shares memory with it.  So one
-    instance must not run two calls at once, for example from two threads.
+    workspace owned by the instance and reused from call to call, one per
+    thread, at most BLOCK_DOUBLES doubles per buffer (about 3 MiB per
+    thread).  Every array a method returns is fresh and never shares memory
+    with it, so threads may call one instance at once.
     """
 
     def __init__(self, input_dim, hidden, n_classes, activation="tanh"):
@@ -199,15 +334,17 @@ class MlpModel:
         return self._forward(theta, x)[1].copy()
 
     def loss(self, theta, x, y):
-        return _cross_entropy(_softmax(self._forward(theta, x)[1]), y)
+        probs = _softmax(self._forward(theta, x)[1])
+        return _cross_entropy(probs, _label_index(probs, y))
 
     def loss_grad(self, theta, x, y):
         w1, b1, w2, b2 = self._unpack(theta)
         lead = theta.shape[:-1]
         hid, logits = self._forward(theta, x)
         probs = _softmax(logits)
-        loss = _cross_entropy(probs, y)
-        delta = _output_delta(probs, y)
+        index = _label_index(probs, y)
+        loss = _cross_entropy(probs, index)
+        delta = _output_delta(probs, index)
         grad_w2 = _t(hid) @ delta
         grad_b2 = delta.sum(axis=-2)
         back = np.matmul(delta, _t(w2), out=self._workspace.take("back", hid.shape))
@@ -302,10 +439,15 @@ class ShardTask:
                          momentum=self.momentum, grad_bound=self.grad_bound)[0]
 
 
-def agent_blocks(n_agents, per_agent):
+def agent_blocks(n_agents, per_agent, parts=1):
     """Consecutive slices covering ``n_agents`` agents, each of at most
-    BLOCK_DOUBLES // per_agent agents (``per_agent``: doubles per agent)."""
+    BLOCK_DOUBLES // per_agent agents (``per_agent``: doubles per agent).
+    With ``parts`` > 1 the blocks are made about equal and about a multiple
+    of ``parts`` in number, so that ``parts`` threads share them evenly."""
     size = max(1, BLOCK_DOUBLES // max(1, per_agent))
+    if parts > 1 and n_agents:
+        count = -(-n_agents // size)
+        size = max(1, -(-n_agents // (-(-count // parts) * parts)))
     return [slice(i, i + size) for i in range(0, n_agents, size)]
 
 
@@ -314,15 +456,19 @@ class ShardTasks:
     x (A, n, d), y (A, n): the batched kernels over blocks of agents, equal
     bit for bit to each agent's ShardTask.
 
-    A block of agents whose ids form one ascending run, as under full
-    participation, reads its shards as a view of the stack rather than a
-    copy.  With the model's workspace, a round then allocates little more
-    than its results."""
+    The blocks run on ``pool`` (a ``WorkerPool``; by default a pool of one,
+    the calling thread).  Each block writes only its own rows of the result,
+    so the result has the same bits on any number of threads.  A block of
+    agents whose ids form one ascending run, as under full participation,
+    reads its shards as a view of the stack rather than a copy.  With the
+    model's workspace, a round then allocates little more than its
+    results."""
 
     def __init__(self, model, x, y, batch_size=None, momentum=0.0,
-                 grad_bound=DEFAULT_GRAD_BOUND):
+                 grad_bound=DEFAULT_GRAD_BOUND, pool=None):
         self.model, self.x, self.y = model, x, y
         self.batch_size, self.momentum, self.grad_bound = batch_size, momentum, grad_bound
+        self.pool = pool if pool is not None else WorkerPool()
 
     def __len__(self):
         return len(self.x)
@@ -336,22 +482,30 @@ class ShardTasks:
     def train(self, thetas, agents, steps, rate, streams):
         """Train agents[r] from thetas[r] on its own shard and stream."""
         out = np.empty_like(thetas)
-        for block in agent_blocks(len(agents), self.x.shape[1] * self.model.width):
+
+        def train_block(block):
             ids = agents[block]
             x, y = self._shards(ids)
             out[block] = local_sgd(self.model, thetas[block], x, y,
                                    steps, rate, [streams[j] for j in ids],
                                    batch_size=self.batch_size, momentum=self.momentum,
                                    grad_bound=self.grad_bound)
+
+        self.pool.map(train_block, agent_blocks(
+            len(agents), self.x.shape[1] * self.model.width, self.pool.size))
         return out
 
     def losses(self, agents, candidates):
         """Loss of candidates[r, c] (a model) on agents[r]'s shard, (b, k)."""
         k = candidates.shape[1]
         out = np.empty(candidates.shape[:2])
-        for block in agent_blocks(len(agents), k * self.x.shape[1] * self.model.width):
+
+        def score_block(block):
             x, y = self._shards(agents[block])
             out[block] = self.model.loss(candidates[block], x[:, None], y[:, None])
+
+        self.pool.map(score_block, agent_blocks(
+            len(agents), k * self.x.shape[1] * self.model.width, self.pool.size))
         return out
 
 
@@ -434,16 +588,16 @@ def rotation_matrix(angle, dim):
     return r
 
 
-def _class_means(n_classes, radius):
+def _cluster_means(cluster, n_classes, n_clusters, radius):
+    """Class means of ``cluster``: ``n_classes`` points evenly spaced on the
+    circle of ``radius``, rotated by the cluster's angle."""
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
-    return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    means = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return means @ rotation_matrix(2.0 * np.pi * cluster / n_clusters, 2).T
 
 
-def _sample_cluster(rng, n, cluster, n_classes, n_clusters, input_dim,
-                    radius, blob_std, noise_std):
-    angle = 2.0 * np.pi * cluster / n_clusters
-    means = _class_means(n_classes, radius) @ rotation_matrix(angle, 2).T
-    y = rng.integers(0, n_classes, size=n)
+def _sample_cluster(rng, n, means, input_dim, blob_std, noise_std):
+    y = rng.integers(0, len(means), size=n)
     x = np.empty((n, input_dim))
     x[:, :2] = means[y] + blob_std * rng.standard_normal((n, 2))
     if input_dim > 2:
@@ -471,20 +625,17 @@ def generate_clustered_data(n_clusters, n_agents, n_per_agent, input_dim,
         raise InvalidParameterError("n_classes must be >= 2")
 
     agent_cluster = np.arange(n_agents) % n_clusters
+    means = [_cluster_means(k, n_classes, n_clusters, radius) for k in range(n_clusters)]
     x = np.empty((n_agents, n_per_agent, input_dim))
     y = np.empty((n_agents, n_per_agent), dtype=np.int64)
     # Agent i's shard comes from stream i, cluster k's test set from stream
     # n_agents + k.
     gens = rng_mod.streams(seed, rng_mod.DATA, n_agents + n_clusters)
     for i, gen in enumerate(gens[:n_agents]):
-        x[i], y[i] = _sample_cluster(gen, n_per_agent, int(agent_cluster[i]), n_classes,
-                                     n_clusters, input_dim, radius, blob_std, noise_std)
-    test_sets = []
-    for k, gen in enumerate(gens[n_agents:]):
-        test_sets.append(
-            _sample_cluster(gen, n_test, k, n_classes, n_clusters, input_dim,
-                            radius, blob_std, noise_std)
-        )
+        x[i], y[i] = _sample_cluster(gen, n_per_agent, means[agent_cluster[i]], input_dim,
+                                     blob_std, noise_std)
+    test_sets = [_sample_cluster(gen, n_test, means[k], input_dim, blob_std, noise_std)
+                 for k, gen in enumerate(gens[n_agents:])]
     return ClusteredDataset(x=x, y=y, agent_cluster=agent_cluster,
                             test_sets=test_sets)
 

@@ -10,13 +10,14 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedcbo
-from fedcbo import diagnostics, experiment, protocol, sde
+from fedcbo import diagnostics, experiment, learners, protocol, sde
 from fedcbo.cli import main
 from fedcbo.config import resolve_config
 from fedcbo.errors import ConfigError, DivergenceError
@@ -195,8 +196,8 @@ SHARED_MANIFEST_KEYS = {"kind", "config", "config_hash", "code_version", "seeds"
                         "metrics_files", "summary_file", "started_at", "finished_at"}
 COMMAND_MANIFEST = {
     # keys of the command's own, and the pattern of its metric file names
-    "run": ({"protocol", "wall_time_s", "counters"}, "metrics_seed{}.jsonl"),
-    "compare": ({"protocols", "table", "flags"}, None),
+    "run": ({"protocol", "wall_time_s", "counters", "threads"}, "metrics_seed{}.jsonl"),
+    "compare": ({"protocols", "table", "flags", "threads"}, None),
     "sde": (set(), "trajectory_seed{}.jsonl"),
     "scan-meanfield": ({"reference_size", "monotone_violations"}, None),
 }
@@ -541,6 +542,97 @@ def test_cli_overflowing_run_exits_3_naming_round_and_agent(tmp_path, capsys):
     assert "round 0, agent 0:" in err
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("protocol", ["fedavg", "ifca", "local"])
+def test_cli_baseline_with_overflowing_losses_exits_3_naming_the_round(
+        tmp_path, capsys, protocol):
+    # The models stay finite but every loss overflows; these runs used to
+    # exit 0 with "Infinity" in their metric files, which is not JSON.
+    overflowing = {"problem": {"kind": "benchmark", "n_per_cluster": 4,
+                               "init_mean": 1e160},
+                   "schedule": {"rounds": 2}, "seeds": [0]}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, overflowing),
+                 "--out", str(out), "--protocol", protocol]) == 3
+    err = capsys.readouterr().err
+    assert "divergence: round 0: non-finite values in mean_local_loss" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+# Many small agent blocks, so that a second thread has blocks to take.
+THREADED_LEARNER = {
+    "problem": {"kind": "learner", "model": "mlp", "hidden": 5, "n_clusters": 2,
+                "n_agents": 24, "n_per_agent": 30, "input_dim": 4, "n_classes": 3,
+                "n_test": 60},
+    "hyperparams": {"local_steps": 2, "download_budget": 4, "batch_size": 12,
+                    "momentum": 0.9},
+    "schedule": {"rounds": 3, "participation": 0.75},
+    "seeds": [0, 1],
+}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_learner_files_are_identical_at_one_and_two_threads(tmp_path, monkeypatch,
+                                                             command):
+    monkeypatch.setattr(learners, "BLOCK_DOUBLES", 600)
+    config_path = write_config(tmp_path, THREADED_LEARNER)
+    hashes, threads = [], []
+    for n in (1, 2):
+        out = tmp_path / f"threads{n}"
+        assert main([command, "--config", config_path, "--out", str(out),
+                     "--threads", str(n)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        hashes.append(file_hashes(out, names))
+        threads.append(manifest["threads"])
+    assert len(hashes[0]) == (3 if command == "run" else 1)
+    assert hashes[0] == hashes[1]
+    assert threads == [1, min(2, len(os.sched_getaffinity(0)))]
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_threads_stay_within_the_cpus_and_end_with_the_command(tmp_path, monkeypatch,
+                                                               threads):
+    monkeypatch.setattr(learners, "BLOCK_DOUBLES", 600)
+    counts = []
+    original = experiment.fedcbo_round
+
+    def counting_round(*args, **kwargs):
+        result = original(*args, **kwargs)
+        counts.append(threading.active_count())
+        return result
+
+    monkeypatch.setattr(experiment, "fedcbo_round", counting_round)
+    before = threading.active_count()
+    assert main(["run", "--config", write_config(tmp_path, THREADED_LEARNER),
+                 "--out", str(tmp_path / "out"), "--threads", str(threads)]) == 0
+    assert threading.active_count() == before
+    cpus = len(os.sched_getaffinity(0))
+    assert len(counts) == 6
+    if threads == 1 or cpus == 1:
+        assert set(counts) == {before}
+    else:
+        assert before < max(counts) <= before + cpus - 1
+
+
+def test_compare_scores_only_each_final_round(tmp_path, monkeypatch):
+    scored = []
+    original = experiment._score
+    monkeypatch.setattr(experiment, "_score",
+                        lambda setup, record, *rest: scored.append(record["round"])
+                        or original(setup, record, *rest))
+    config = tiny_learner(seeds=[0, 1], schedule={"rounds": 3})
+    compare_protocols(config, out_dir=tmp_path)
+    assert scored == [2] * 8   # 4 protocols x 2 seeds
+
+    for protocol in ("fedcbo", "local", "fedavg", "ifca"):
+        view = tiny_learner(protocol=protocol, schedule={"rounds": 3})
+        every, _ = run_protocol(view, seed=0)
+        final, _ = run_protocol(view, seed=0, final_only=True)
+        assert final[-1] == every[-1]
+        assert all(r["acc_macro"] is None for r in final[:-1])
 
 
 def test_cli_compare_scan_and_sde_commands(tmp_path, capsys):

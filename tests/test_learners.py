@@ -1,16 +1,22 @@
 """Models, gradients, local training, and the synthetic clustered dataset."""
 
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
+from fedcbo import learners
 from fedcbo import rng as rng_mod
 from fedcbo.errors import InvalidParameterError
-from fedcbo.learners import (MlpModel, ShardTask, ShardTasks, accuracy,
-                             generate_clustered_data, make_model, predict, rotation_matrix)
+from fedcbo.learners import (MlpModel, ShardTask, ShardTasks, WorkerPool, accuracy,
+                             agent_blocks, generate_clustered_data, make_model, predict,
+                             rotation_matrix)
 
 
 def small_data(n=12, dim=3, n_classes=3, seed=0):
@@ -147,6 +153,92 @@ def test_repeated_training_and_scoring_allocate_less_than_a_mebibyte(kernel):
         call = partial(tasks.losses, ids, candidates)
     call()   # warm-up: the workspace grows to its size here
     assert traced_peak(call) < 1 << 20
+
+
+@pytest.mark.parametrize("batch_size", [None, 30])
+def test_blocks_on_two_threads_equal_blocks_on_one(monkeypatch, batch_size):
+    # A small bound splits 23 agents into many blocks, so both threads take
+    # some; each block must still write exactly the rows it would alone.
+    monkeypatch.setattr(learners, "BLOCK_DOUBLES", 3 * 40 * 6)
+    agents, n, d, h, c = 23, 40, 5, 6, 3
+    gen = np.random.default_rng(7)
+    x, y = gen.standard_normal((agents, n, d)), gen.integers(0, c, size=(agents, n))
+    thetas = 0.5 * gen.standard_normal((agents, MlpModel(d, h, c).n_params))
+    candidates = 0.5 * gen.standard_normal((agents, 4, thetas.shape[1]))
+    ids = np.arange(agents)[::-1].copy()   # not one ascending run: shards are copies
+    assert len(agent_blocks(agents, n * h)) > 4
+
+    def run(pool):
+        tasks = ShardTasks(MlpModel(d, h, c), x, y, batch_size=batch_size, momentum=0.9,
+                           pool=pool)
+        streams = rng_mod.agent_streams(3, agents)
+        trained = tasks.train(thetas, ids, 4, 0.1, streams)
+        return trained, tasks.losses(ids, candidates), [s.random() for s in streams]
+
+    serial = run(None)
+    with WorkerPool(2) as pool:
+        threaded = run(pool)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(serial[:2], threaded[:2], strict=True))
+    assert serial[2] == threaded[2]   # every stream consumed alike
+
+
+def test_pool_size_is_capped_and_a_pool_of_one_starts_no_thread():
+    cpus = len(os.sched_getaffinity(0))
+    assert WorkerPool(10 ** 6).size == cpus
+    before = threading.active_count()
+    seen = []
+    with WorkerPool(1) as pool:
+        pool.map(lambda i: seen.append((i, threading.active_count())), range(5))
+    assert seen == [(i, before) for i in range(5)]
+
+
+def test_pool_runs_every_item_once_and_joins_its_threads():
+    # More threads than CPUs and a short switch interval, so that a lost
+    # update of the shared item counter would run an item twice or never.
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    with WorkerPool(1) as pool:
+        pool.size = 4 * len(os.sched_getaffinity(0)) + 1
+        try:
+            sys.setswitchinterval(1e-6)
+            for call in range(200):
+                done = []
+                pool.map(lambda i: time.sleep(0) or done.append(i), range(call % 40))
+                assert sorted(done) == list(range(call % 40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before + pool.size - 1
+    assert threading.active_count() == before
+
+
+def test_pool_items_run_under_the_callers_floating_point_error_state():
+    # fedcbo_round silences overflow for its blocks; a worker thread starts
+    # with NumPy's defaults and must take the caller's settings instead.
+    seen = []
+    with WorkerPool(2) as pool, np.errstate(over="ignore", invalid="raise"):
+        pool.map(lambda i: time.sleep(0.01) or seen.append(np.geterr()), range(6))
+    assert len(seen) == 6
+    assert all(err["over"] == "ignore" and err["invalid"] == "raise" for err in seen)
+
+
+def test_pool_raises_the_lowest_failure_after_started_items_finish():
+    # On two threads, item 1 is still running when item 2 fails on the other
+    # thread; the caller gets item 1's error, once item 1 has finished.
+    finished = []
+    gate = threading.Event()
+    with WorkerPool(2) as pool:
+        def job(i):
+            if i == 1:
+                gate.wait(5.0 if pool.size > 1 else 0.0)
+                raise KeyError(i)
+            if i == 2:
+                gate.set()
+                raise ValueError(i)
+            finished.append(i)
+
+        with pytest.raises(KeyError):
+            pool.map(job, range(40))
+    assert finished == [0]   # no item starts once one has failed
 
 
 def test_rotation_matrix_geometry():

@@ -244,6 +244,43 @@ def test_batched_gradients_equal_per_model_reference(case):
         assert same_bits(grads[r], ref_grad)
 
 
+@st.composite
+def wide_model_case(draw):
+    """6-10 classes, across the softmax's switch from column adds to a sum
+    at 8, with tied logits (integer weights and inputs) or large ones."""
+    kind = draw(st.sampled_from(["logistic", "mlp-tanh", "mlp-relu"]))
+    d, c = draw(st.integers(2, 5)), draw(st.integers(6, 10))
+    if kind == "logistic":
+        model = LogisticModel(d, c)
+    else:
+        model = MlpModel(d, draw(st.integers(1, 6)), c, activation=kind.split("-")[1])
+    b, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = gen.standard_normal((b, k, model.n_params))
+    x = gen.standard_normal((b, n, d))
+    if draw(st.booleans()):
+        thetas, x = np.round(thetas), np.round(x)    # many exactly tied logits
+    thetas *= draw(st.sampled_from([0.0, 1.0, 40.0, 1e3]))
+    y = gen.integers(0, c, size=(b, n))
+    return model, thetas, x, y
+
+
+@SETTINGS
+@given(wide_model_case())
+def test_losses_and_gradients_equal_reference_across_the_class_count_switch(case):
+    model, thetas, x, y = case
+    b, k = thetas.shape[:2]
+    batched = model.loss(thetas, x[:, None], y[:, None])
+    losses, grads = model.loss_grad(thetas[:, 0], x, y)
+    for r in range(b):
+        for m in range(k):
+            assert same_bits(batched[r, m],
+                             reference_loss_grad(model, thetas[r, m], x[r], y[r])[0])
+        ref_loss, ref_grad = reference_loss_grad(model, thetas[r, 0], x[r], y[r])
+        assert same_bits(losses[r], ref_loss)
+        assert same_bits(grads[r], ref_grad)
+
+
 @SETTINGS
 @given(model_case(), st.integers(0, 4), st.sampled_from([0.0, 0.9]),
        st.sampled_from([1e3, 0.05]), st.integers(1, 45), st.integers(0, 2**32 - 1))
