@@ -31,8 +31,9 @@ def _add_shared(parser):
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="threads for the agent blocks of run and compare, at most "
-                             "the usable CPUs; results are identical for any value")
+                        help="threads, at most the usable CPUs: run splits its agent "
+                             "blocks over them, compare its protocol x seed jobs; "
+                             "results are identical for any value")
 
 
 def build_parser():

@@ -461,34 +461,50 @@ def compare_protocols(config, out_dir=None, threads=1):
 
     Every protocol reuses the same config (hence the same per-seed dataset,
     round count, and local-step budget), which is what makes the comparison
-    equal-compute.  Only each run's final round is scored.  The protocol and
-    seed runs go one after another; their agent blocks run on up to
-    ``threads`` threads.  Writes comparison.csv and a manifest; returns a
-    dict with the accuracy table and ordering flags.
+    equal-compute.  Only each run's final round is scored.  Each protocol
+    and seed run is one job, and the jobs run on up to ``threads`` threads,
+    protocol by protocol, so the long fedcbo jobs start first.  A job builds
+    its own problem and runs its agent blocks on its own thread, so its
+    results do not depend on the thread count.  If jobs fail, the first
+    failed job's exception is raised, as in a serial loop.  Writes
+    comparison.csv and a manifest with each job's wall time; returns a dict
+    with the accuracy table and ordering flags.
     """
     protocols = ["fedcbo", "ifca", "fedavg", "local"]
+    problems = []
     if config.problem["kind"] != "learner":
-        raise ConfigError(["problem.kind: protocol comparison needs a learner problem"])
+        problems.append("problem.kind: protocol comparison needs a learner problem")
+    if config.schedule["rounds"] < 1:
+        problems.append("schedule.rounds: comparison needs rounds >= 1")
+    if problems:
+        raise ConfigError(problems)
+
+    jobs = [(protocol, seed) for protocol in protocols for seed in config.seeds]
+    finals, wall_times = [None] * len(jobs), [None] * len(jobs)
+
+    def run_job(index):
+        protocol, seed = jobs[index]
+        t0 = time.perf_counter()
+        # No pool: the job's agent blocks run unsplit on its own thread, and
+        # its problem and models are its own, freed when it ends.
+        records, _ = run_protocol(dataclasses.replace(config, protocol=protocol), seed,
+                                  final_only=True)
+        wall_times[index] = round(time.perf_counter() - t0, 3)
+        finals[index] = records[-1]
 
     with _RunDir(config, "compare", out_dir) as run_dir, WorkerPool(threads) as pool:
-        table = {}
+        pool.map(run_job, range(len(jobs)))
+        table, timing = {}, {}
         for protocol in protocols:
-            cfg = dataclasses.replace(config, protocol=protocol)
-            macro, per_cluster = [], []
-            for seed in config.seeds:
-                records, _ = run_protocol(cfg, seed, pool, final_only=True)
-                if not records:
-                    raise ConfigError(["schedule.rounds: comparison needs rounds >= 1"])
-                last = records[-1]
-                macro.append(last["acc_macro"])
-                per_cluster.append(last["acc_per_cluster"])
-            macro = np.array(macro)
-            per_cluster = np.array(per_cluster)
+            done = [i for i, job in enumerate(jobs) if job[0] == protocol]
+            macro = np.array([finals[i]["acc_macro"] for i in done])
+            per_cluster = np.array([finals[i]["acc_per_cluster"] for i in done])
             table[protocol] = {
                 "acc_macro_mean": float(macro.mean()),
                 "acc_macro_std": float(macro.std(ddof=1)) if len(macro) > 1 else 0.0,
                 "acc_per_cluster_mean": [float(x) for x in per_cluster.mean(axis=0)],
             }
+            timing[protocol] = {str(jobs[i][1]): {"wall_s": wall_times[i]} for i in done}
 
         acc = {protocol: entry["acc_macro_mean"] for protocol, entry in table.items()}
         flags = {
@@ -509,7 +525,7 @@ def compare_protocols(config, out_dir=None, threads=1):
                         [f"{x:.10g}" for x in entry["acc_per_cluster_mean"]])
         write_csv(run_dir.path("comparison.csv", "summary"), header, rows)
         run_dir.manifest.update(protocols=protocols, table=table, flags=flags,
-                                threads=pool.size)
+                                timing=timing, threads=pool.size)
     return {"table": table, "flags": flags, "out_dir": str(run_dir.out_dir)}
 
 

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +198,7 @@ SHARED_MANIFEST_KEYS = {"kind", "config", "config_hash", "code_version", "seeds"
 COMMAND_MANIFEST = {
     # keys of the command's own, and the pattern of its metric file names
     "run": ({"protocol", "wall_time_s", "counters", "threads"}, "metrics_seed{}.jsonl"),
-    "compare": ({"protocols", "table", "flags", "threads"}, None),
+    "compare": ({"protocols", "table", "flags", "timing", "threads"}, None),
     "sde": (set(), "trajectory_seed{}.jsonl"),
     "scan-meanfield": ({"reference_size", "monotone_violations"}, None),
 }
@@ -615,6 +616,117 @@ def test_threads_stay_within_the_cpus_and_end_with_the_command(tmp_path, monkeyp
         assert set(counts) == {before}
     else:
         assert before < max(counts) <= before + cpus - 1
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_compare_jobs_stay_within_the_cpus_and_end_with_the_command(
+        tmp_path, monkeypatch, threads):
+    # Each job runs its agent blocks on its own thread: a pool of one, so
+    # the jobs are the only work that reaches the command's threads.
+    monkeypatch.setattr(learners, "BLOCK_DOUBLES", 600)
+    counts, job_pools = [], []
+    run_job, build = experiment.run_protocol, experiment.build_setup
+
+    def counting_job(*args, **kwargs):
+        counts.append(threading.active_count())
+        result = run_job(*args, **kwargs)
+        counts.append(threading.active_count())
+        return result
+
+    def recording_build(*args, **kwargs):
+        setup = build(*args, **kwargs)
+        job_pools.append(setup.tasks.pool.size)
+        return setup
+
+    monkeypatch.setattr(experiment, "run_protocol", counting_job)
+    monkeypatch.setattr(experiment, "build_setup", recording_build)
+    before = threading.active_count()
+    assert main(["compare", "--config", write_config(tmp_path, THREADED_LEARNER),
+                 "--out", str(tmp_path / "out"), "--threads", str(threads)]) == 0
+    assert threading.active_count() == before
+    cpus = len(os.sched_getaffinity(0))
+    assert len(counts) == 16   # 4 protocols x 2 seeds, at each job's start and end
+    assert job_pools == [1] * 8
+    if threads == 1 or cpus == 1:
+        assert set(counts) == {before}
+    else:
+        assert before < max(counts) <= before + cpus - 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_compare_raises_the_first_failed_jobs_error(tmp_path, monkeypatch, threads):
+    # Jobs go protocol-major: job 3 is (ifca, seed 1), job 5 (fedavg, seed 1).
+    # Job 3 fails late, so on two threads job 5 may fail first.
+    original = experiment.run_protocol
+    started = []
+
+    def failing_job(config, seed, *args, **kwargs):
+        index = 2 * ["fedcbo", "ifca", "fedavg", "local"].index(config.protocol) + seed
+        started.append(index)
+        if index == 3:
+            time.sleep(0.2)
+        if index in (3, 5):
+            raise DivergenceError(f"job {index} diverged")
+        return original(config, seed, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_protocol", failing_job)
+    with pytest.raises(DivergenceError, match="^job 3 diverged$"):
+        compare_protocols(tiny_learner(seeds=[0, 1]), out_dir=tmp_path, threads=threads)
+    assert list(tmp_path.iterdir()) == []
+    if threads == 1:
+        assert started == [0, 1, 2, 3]
+
+
+def test_diverging_compare_exits_3_alike_at_one_and_two_threads(tmp_path, capsys):
+    # A contraction factor of 5e300 overshoots models to inf in round 0 of
+    # both fedcbo seeds (seed 1 alone names agent 1), which run at once on
+    # two threads; the first job's error is the one reported.
+    raw = {"problem": {"kind": "learner", "model": "logistic", "n_clusters": 2,
+                       "n_agents": 8, "n_per_agent": 20, "input_dim": 4,
+                       "n_classes": 2, "n_test": 50},
+           "hyperparams": {"consensus_drift": 5.0, "step_size": 1e300,
+                           "local_steps": 2, "download_budget": 3},
+           "schedule": {"rounds": 2}, "seeds": [0, 1]}
+    config_path = write_config(tmp_path, raw)
+    lines = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main(["compare", "--config", config_path, "--out", str(out),
+                     "--threads", str(threads)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines.append([line for line in err.splitlines() if line.startswith("divergence")])
+        assert list(out.iterdir()) == []
+    assert lines[0] == lines[1] == [
+        "divergence: round 0, agent 2: non-finite values in aggregation"]
+
+
+def test_compare_checks_its_rounds_before_any_job_starts(tmp_path, monkeypatch,
+                                                        capsys):
+    jobs = []
+    monkeypatch.setattr(experiment, "run_protocol",
+                        lambda *args, **kwargs: jobs.append(args))
+    raw = dict(THREADED_LEARNER, schedule={"rounds": 0})
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, raw),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "config error: schedule.rounds: comparison needs rounds >= 1"]
+    assert jobs == []
+    assert not (out / "comparison.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_compare_manifest_times_every_job_outside_the_table(tmp_path):
+    config = tiny_learner(seeds=[0, 1])
+    compare_protocols(config, out_dir=tmp_path)
+    timing = json.loads((tmp_path / "manifest.json").read_text())["timing"]
+    assert set(timing) == {"fedcbo", "ifca", "fedavg", "local"}
+    for by_seed in timing.values():
+        assert set(by_seed) == {"0", "1"}
+        assert all(set(job) == {"wall_s"} and job["wall_s"] >= 0
+                   for job in by_seed.values())
+    assert "wall" not in (tmp_path / "comparison.csv").read_text()
 
 
 def test_compare_scores_only_each_final_round(tmp_path, monkeypatch):
