@@ -234,6 +234,9 @@ def _score(setup, record, models, candidates):
             raise DivergenceError(f"round {n}: non-finite values in {key}", step=n)
 
 
+_FEDCBO_AGENTS = "protocol: fedcbo needs at least 2 agents, the problem has {}"
+
+
 def run_protocol(config, seed, pool=None, final_only=False):
     """Run one protocol for one seed; returns (records, counters).
 
@@ -247,8 +250,7 @@ def run_protocol(config, seed, pool=None, final_only=False):
     setup = build_setup(config, seed, pool)
     if config.protocol == "fedcbo" and setup.n_agents < 2:
         # No config rule: sde configs share the field and may run one particle.
-        raise ConfigError([f"protocol: fedcbo needs at least 2 agents, the problem "
-                           f"has {setup.n_agents}"])
+        raise ConfigError([_FEDCBO_AGENTS.format(setup.n_agents)])
     streams = rng_mod.agent_streams(seed, setup.n_agents)
     counters = Counter()
     records = []
@@ -444,9 +446,9 @@ def run_experiment(config, out_dir=None, threads=1):
     with _RunDir(config, "run", out_dir) as run_dir, WorkerPool(threads) as pool:
         wall_times, counters, finals = {}, {}, []
         for seed in config.seeds:
-            t0 = time.time()
+            t0 = time.perf_counter()
             records, counters[str(seed)] = run_protocol(config, seed, pool)
-            wall_times[str(seed)] = round(time.time() - t0, 3)
+            wall_times[str(seed)] = round(time.perf_counter() - t0, 3)
             _write_jsonl(run_dir.path(f"metrics_seed{seed}.jsonl", "metrics"), records)
             finals.append(records[-1] if records else None)
         write_csv(run_dir.path("summary.csv", "summary"), ["metric", "mean", "std"],
@@ -474,37 +476,38 @@ def compare_protocols(config, out_dir=None, threads=1):
     problems = []
     if config.problem["kind"] != "learner":
         problems.append("problem.kind: protocol comparison needs a learner problem")
+    elif config.problem["n_agents"] < 2:
+        problems.append(_FEDCBO_AGENTS.format(config.problem["n_agents"]))
     if config.schedule["rounds"] < 1:
         problems.append("schedule.rounds: comparison needs rounds >= 1")
     if problems:
         raise ConfigError(problems)
 
     jobs = [(protocol, seed) for protocol in protocols for seed in config.seeds]
-    finals, wall_times = [None] * len(jobs), [None] * len(jobs)
 
-    def run_job(index):
-        protocol, seed = jobs[index]
+    def run_job(job):
+        protocol, seed = job
         t0 = time.perf_counter()
         # No pool: the job's agent blocks run unsplit on its own thread, and
         # its problem and models are its own, freed when it ends.
         records, _ = run_protocol(dataclasses.replace(config, protocol=protocol), seed,
                                   final_only=True)
-        wall_times[index] = round(time.perf_counter() - t0, 3)
-        finals[index] = records[-1]
+        return records[-1], round(time.perf_counter() - t0, 3)
 
     with _RunDir(config, "compare", out_dir) as run_dir, WorkerPool(threads) as pool:
-        pool.map(run_job, range(len(jobs)))
+        results = dict(zip(jobs, pool.map(run_job, jobs)))
         table, timing = {}, {}
         for protocol in protocols:
-            done = [i for i, job in enumerate(jobs) if job[0] == protocol]
-            macro = np.array([finals[i]["acc_macro"] for i in done])
-            per_cluster = np.array([finals[i]["acc_per_cluster"] for i in done])
+            finals = [results[protocol, seed][0] for seed in config.seeds]
+            macro = np.array([final["acc_macro"] for final in finals])
+            per_cluster = np.array([final["acc_per_cluster"] for final in finals])
             table[protocol] = {
                 "acc_macro_mean": float(macro.mean()),
                 "acc_macro_std": float(macro.std(ddof=1)) if len(macro) > 1 else 0.0,
                 "acc_per_cluster_mean": [float(x) for x in per_cluster.mean(axis=0)],
             }
-            timing[protocol] = {str(jobs[i][1]): {"wall_s": wall_times[i]} for i in done}
+            timing[protocol] = {str(seed): {"wall_s": results[protocol, seed][1]}
+                                for seed in config.seeds}
 
         acc = {protocol: entry["acc_macro_mean"] for protocol, entry in table.items()}
         flags = {

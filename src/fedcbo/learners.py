@@ -32,23 +32,24 @@ BLOCK_DOUBLES = 1 << 17
 
 class WorkerPool:
     """Runs independent jobs on up to ``threads`` threads, capped at the CPUs
-    this process may use; the calling thread is one of them.
+    this process may use (``os.sched_getaffinity``, else ``os.cpu_count()``);
+    the calling thread is one of them.
 
     ``map`` hands out its items in order to whichever thread asks next and
-    returns once every item has run, so a job that writes only its own rows
-    of a preallocated result gives the same bits on any number of threads.
-    A pool of one starts no thread, and ``map`` is then a plain loop on the
-    caller.  Worker threads start on the first ``map`` that has work for
-    them and end at ``close``; use the pool as a context manager so that no
-    thread outlives it.
+    returns their results in item order once every item has run, so a job
+    that writes only its own rows of a preallocated result gives the same
+    bits on any number of threads.  The helper threads belong to a
+    ``concurrent.futures`` executor, started by the first ``map`` that has
+    work for them and shut down by ``close``; use the pool as a context
+    manager so that no thread outlives it.  A pool of one, or a closed
+    pool, starts no thread, and ``map`` is then a plain loop on the caller.
     """
 
     def __init__(self, threads=1):
-        self.size = max(1, min(int(threads), len(os.sched_getaffinity(0))))
-        self._workers = []
-        self._wake = threading.Condition()
-        self._job = None
-        self._posted = 0
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        self.size = max(1, min(int(threads), cpus))
+        self._executor = None
         self._closed = False
 
     def __enter__(self):
@@ -59,85 +60,52 @@ class WorkerPool:
         return False
 
     def map(self, fn, items):
-        """``fn(item)`` for every item, on at most ``min(size, len(items))``
+        """``[fn(item) for item in items]`` on at most ``min(size, len(items))``
         threads.  Once an item fails no further item starts; the exception
         of the lowest failed item is raised when every started item has
         finished."""
-        job = _Job(fn, list(items), np.geterr())
-        helpers = min(self.size, len(job.items)) - 1
-        if helpers > 0:
-            with self._wake:
-                while len(self._workers) < helpers and not self._closed:
-                    worker = threading.Thread(target=self._serve, daemon=True,
-                                              name=f"fedcbo-worker-{len(self._workers)}")
-                    worker.start()
-                    self._workers.append(worker)
-                self._job, self._posted = job, self._posted + 1
-                self._wake.notify_all()
-        try:
-            job.work()
-        finally:
-            job.wait()
-            self._job = None
-        if job.error is not None:
-            raise job.error[1]
+        items = list(items)
+        results, failures = [None] * len(items), {}
+        claim, lock = iter(range(len(items))), threading.Lock()
 
-    def _serve(self):
-        seen = 0
-        while True:
-            with self._wake:
-                while self._posted == seen and not self._closed:
-                    self._wake.wait()
-                if self._closed:
+        def work():
+            while True:
+                with lock:
+                    index = None if failures else next(claim, None)
+                if index is None:
                     return
-                seen, job = self._posted, self._job
-            if job is not None:
-                with np.errstate(**job.errstate):
-                    job.work()
-            job = None
+                try:
+                    results[index] = fn(items[index])
+                except BaseException as exc:
+                    with lock:
+                        failures[index] = exc
+
+        def helper(errstate):
+            with np.errstate(**errstate):
+                work()
+
+        helpers = 0 if self._closed else min(self.size, len(items)) - 1
+        if helpers > 0 and self._executor is None:
+            # Imported here: about 2 ms of start-up a one-thread command never needs.
+            from concurrent.futures import ThreadPoolExecutor
+            self._executor = ThreadPoolExecutor(self.size - 1,
+                                                thread_name_prefix="fedcbo-worker")
+        futures = [self._executor.submit(helper, np.geterr()) for _ in range(helpers)]
+        try:
+            work()
+        finally:
+            for future in futures:   # wait for each helper that has started
+                if not future.cancel():
+                    future.exception()
+        if failures:
+            raise failures[min(failures)]
+        return results
 
     def close(self):
-        """Stop and join every worker thread."""
-        with self._wake:
-            self._closed = True
-            self._wake.notify_all()
-        for worker in self._workers:
-            worker.join()
-        self._workers.clear()
-
-
-class _Job:
-    """One ``WorkerPool.map`` call: the items not yet started, the items
-    running, and the first failure by item order."""
-
-    def __init__(self, fn, items, errstate):
-        self.fn, self.items, self.errstate = fn, items, errstate
-        self.next = self.running = 0
-        self.error = None          # (item index, exception)
-        self.done = threading.Condition()
-
-    def work(self):
-        while True:
-            with self.done:
-                if self.error is not None or self.next == len(self.items):
-                    return
-                index, self.next, self.running = self.next, self.next + 1, self.running + 1
-            try:
-                self.fn(self.items[index])
-            except BaseException as exc:
-                with self.done:
-                    if self.error is None or index < self.error[0]:
-                        self.error = (index, exc)
-            finally:
-                with self.done:
-                    self.running -= 1
-                    if not self.running:
-                        self.done.notify_all()
-
-    def wait(self):
-        with self.done:
-            while self.running:
-                self.done.wait()
+        """Shut down the helper threads; later maps run on the caller."""
+        self._closed = True
+        if self._executor is not None:
+            self._executor.shutdown()
 
 
 class _Workspace:

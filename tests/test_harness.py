@@ -717,6 +717,37 @@ def test_compare_checks_its_rounds_before_any_job_starts(tmp_path, monkeypatch,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("rounds", [0, 2])
+def test_compare_reports_its_agents_and_rounds_rules_together(tmp_path, monkeypatch,
+                                                              capsys, rounds):
+    # With rounds 2, fedcbo's agent rule used to be met only inside its first
+    # job, after that job had generated its data.
+    jobs = []
+    monkeypatch.setattr(experiment, "run_protocol",
+                        lambda *args, **kwargs: jobs.append(args))
+    raw = dict(ONE_AGENT["learner"], schedule={"rounds": rounds})
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, raw),
+                 "--out", str(out)]) == 2
+    expected = ["config error: protocol: fedcbo needs at least 2 agents, the problem has 1"]
+    if rounds == 0:
+        expected.append("config error: schedule.rounds: comparison needs rounds >= 1")
+    assert capsys.readouterr().err.strip().splitlines() == expected
+    assert jobs == []
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_run_wall_time_does_not_follow_system_clock_steps(tmp_path, monkeypatch):
+    # Every time.time() reads an hour earlier than the one before, as if the
+    # clock were stepped back during the run; started_at and finished_at
+    # still come from it.
+    clock = iter(range(10 ** 6))
+    monkeypatch.setattr(time, "time", lambda: 2e9 - 3600.0 * next(clock))
+    manifest = run_experiment(tiny_learner(), out_dir=tmp_path)
+    assert 0 <= manifest["wall_time_s"]["0"] < 600
+    assert manifest["finished_at"] < manifest["started_at"]
+
+
 def test_compare_manifest_times_every_job_outside_the_table(tmp_path):
     config = tiny_learner(seeds=[0, 1])
     compare_protocols(config, out_dir=tmp_path)

@@ -241,6 +241,44 @@ def test_pool_raises_the_lowest_failure_after_started_items_finish():
     assert finished == [0]   # no item starts once one has failed
 
 
+def test_pool_counts_cpus_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no sched_getaffinity; every learner command
+    # builds a pool, so counting CPUs must not need it.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert WorkerPool(1).size == 1
+    assert WorkerPool(10 ** 6).size == (os.cpu_count() or 1)
+
+
+def test_a_closed_pool_stays_closed():
+    before = threading.active_count()
+    pool = WorkerPool(2)
+    pool.size = 2   # two threads even on one CPU
+
+    def failing(i):
+        if i == 3:
+            raise ValueError(i)
+
+    with pytest.raises(ValueError):
+        pool.map(failing, range(8))
+    done = []
+    pool.map(lambda i: time.sleep(0) or done.append(i), range(8))
+    assert sorted(done) == list(range(8))   # a failed map leaves the pool usable
+    pool.close()
+    assert threading.active_count() == before
+    seen = []
+    pool.map(lambda i: seen.append((i, threading.active_count())), range(5))
+    assert seen == [(i, before) for i in range(5)]   # on the caller, no new thread
+
+
+def test_pool_returns_results_in_item_order():
+    # Early items sleep longest, so on two threads they finish last.
+    with WorkerPool(2) as pool:
+        pool.size = 2
+        assert pool.map(lambda i: time.sleep(0.002 * (6 - i)) or -i,
+                        range(6)) == [0, -1, -2, -3, -4, -5]
+        assert pool.map(str, []) == []
+
+
 def test_rotation_matrix_geometry():
     r = rotation_matrix(np.pi / 2.0, 4)
     assert np.allclose(r @ np.array([1.0, 0.0, 0.0, 0.0]), [0.0, 1.0, 0.0, 0.0],
