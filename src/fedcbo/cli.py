@@ -31,9 +31,10 @@ def _add_shared(parser):
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="threads, at most the usable CPUs: run splits its agent "
-                             "blocks over them, compare its protocol x seed jobs; "
-                             "results are identical for any value")
+                        help="threads, at most the usable CPUs: run splits each round's "
+                             "training, aggregation and scoring blocks over them, "
+                             "compare its protocol x seed jobs; results are "
+                             "identical for any value")
 
 
 def build_parser():

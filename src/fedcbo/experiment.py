@@ -73,8 +73,8 @@ def build_benchmark(problem_cfg):
 
 
 def build_setup(config, seed, pool=None):
-    """Instantiate tasks and initial models for one seed.  A learner
-    problem's tasks run their agent blocks on ``pool`` (learners.WorkerPool)."""
+    """Instantiate tasks and initial models for one seed.  The tasks run
+    their agent blocks on ``pool`` (learners.WorkerPool)."""
     problem = config.problem
     hp = config.hp()
     if problem["kind"] == "benchmark":
@@ -82,7 +82,7 @@ def build_setup(config, seed, pool=None):
         n_agents = problem["n_per_cluster"] * bench.n_clusters
         labels = np.arange(n_agents) % bench.n_clusters
         tasks = ObjectiveTasks([bench.objectives[k] for k in labels],
-                               momentum=hp.momentum)
+                               momentum=hp.momentum, pool=pool)
         setup = ProblemSetup(tasks=tasks, initial_models=None, agent_cluster=labels,
                              n_clusters=bench.n_clusters, benchmark=bench)
     else:
@@ -119,17 +119,22 @@ def _initial_models(config, setup, seed, domain, n):
 
 
 def _per_agent_accuracy(setup, models):
-    """Mean test accuracy of cluster-k agents' own models on cluster-k data."""
-    per_cluster = []
-    for k in range(setup.n_clusters):
-        x, y = setup.dataset.test_sets[k]
-        members = np.flatnonzero(setup.agent_cluster == k)
-        accs = np.concatenate([
-            accuracy(setup.model_arch, models[members[block]], x, y)
-            for block in agent_blocks(len(members), len(x) * setup.model_arch.width)
-        ])
-        per_cluster.append(float(np.mean(accs)))
-    return per_cluster
+    """Mean test accuracy of cluster-k agents' own models on cluster-k data.
+    The (cluster, agent block) items run on the tasks' pool."""
+    arch, test_sets = setup.model_arch, setup.dataset.test_sets
+    members = [np.flatnonzero(setup.agent_cluster == k) for k in range(setup.n_clusters)]
+    items = [(k, ids[block]) for k, ids in enumerate(members)
+             for block in agent_blocks(len(ids), len(test_sets[k][0]) * arch.width)]
+
+    def score(item):
+        k, ids = item
+        return accuracy(arch, models[ids], *test_sets[k])
+
+    accs = setup.tasks.pool.map(score, items)
+    per_cluster = [[] for _ in members]
+    for (k, _), acc in zip(items, accs):
+        per_cluster[k].append(acc)
+    return [float(np.mean(np.concatenate(parts))) for parts in per_cluster]
 
 
 def _best_loss_accuracy(setup, candidates):
@@ -174,7 +179,8 @@ def _fedcbo_rounds(config, setup, seed, hp, streams, counters):
         counters.update(entry.counters())
         record = _base_record(n, len(entry.participants))
         record["eps"] = float(entry.eps)
-        record["sr"] = selection_ratio(entry.selections, setup.agent_cluster)
+        sr = selection_ratio(entry.selections, setup.agent_cluster)
+        record["sr"] = None if np.isnan(sr) else sr   # NaN when no agent downloaded
         record["oracle_sr"] = oracle_sr(hp, n, cluster_size, setup.n_agents)
         record["mean_local_loss"] = entry.mean_local_loss
         yield record, models, None
@@ -241,8 +247,8 @@ def run_protocol(config, seed, pool=None, final_only=False):
     """Run one protocol for one seed; returns (records, counters).
 
     Every round is scored, or with ``final_only`` only the last one; the
-    other records then carry no scores.  ``pool`` runs the agent blocks of
-    learner problems.  ``counters`` totals the fedcbo round counters (see
+    other records then carry no scores.  ``pool`` runs the agent blocks.
+    ``counters`` totals the fedcbo round counters (see
     protocol.RoundLog; empty for the baselines).  They belong in the
     manifest, never in the metric files.  A clamped download budget is
     logged once per run.

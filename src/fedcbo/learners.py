@@ -43,6 +43,9 @@ class WorkerPool:
     work for them and shut down by ``close``; use the pool as a context
     manager so that no thread outlives it.  A pool of one, or a closed
     pool, starts no thread, and ``map`` is then a plain loop on the caller.
+    A ``map`` called from an item of a running ``map`` takes only the
+    helper threads that no other ``map`` holds, so it never queues work
+    that no thread is free to start; on a pool of two it runs on its caller.
     """
 
     def __init__(self, threads=1):
@@ -51,6 +54,8 @@ class WorkerPool:
         self.size = max(1, min(int(threads), cpus))
         self._executor = None
         self._closed = False
+        self._lock = threading.Lock()
+        self._held = 0   # helpers that running maps have submitted
 
     def __enter__(self):
         return self
@@ -84,12 +89,15 @@ class WorkerPool:
             with np.errstate(**errstate):
                 work()
 
-        helpers = 0 if self._closed else min(self.size, len(items)) - 1
-        if helpers > 0 and self._executor is None:
-            # Imported here: about 2 ms of start-up a one-thread command never needs.
-            from concurrent.futures import ThreadPoolExecutor
-            self._executor = ThreadPoolExecutor(self.size - 1,
-                                                thread_name_prefix="fedcbo-worker")
+        with self._lock:
+            helpers = 0 if self._closed else max(
+                0, min(self.size - 1 - self._held, len(items) - 1))
+            if helpers and self._executor is None:
+                # Imported here: about 2 ms of start-up a one-thread command never needs.
+                from concurrent.futures import ThreadPoolExecutor
+                self._executor = ThreadPoolExecutor(self.size - 1,
+                                                    thread_name_prefix="fedcbo-worker")
+            self._held += helpers
         futures = [self._executor.submit(helper, np.geterr()) for _ in range(helpers)]
         try:
             work()
@@ -97,6 +105,8 @@ class WorkerPool:
             for future in futures:   # wait for each helper that has started
                 if not future.cancel():
                     future.exception()
+            with self._lock:
+                self._held -= helpers
         if failures:
             raise failures[min(failures)]
         return results
@@ -485,12 +495,14 @@ class ObjectiveTasks:
     stream, so runs are deterministic given the initial models.  Agents
     that share an objective are batched through its ``gradients`` and
     ``losses``, the calls ``run_sde`` makes; every row equals its
-    batch-of-one result bit for bit.
+    batch-of-one result bit for bit.  ``pool`` is the pool the round runs
+    its aggregation blocks on, as for ShardTasks; by default a pool of one.
     """
 
-    def __init__(self, objectives, momentum=0.0):
+    def __init__(self, objectives, momentum=0.0, pool=None):
         self.objectives = list(objectives)
         self.momentum = momentum
+        self.pool = pool if pool is not None else WorkerPool()
 
     def __len__(self):
         return len(self.objectives)

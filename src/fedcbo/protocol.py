@@ -36,37 +36,99 @@ def _round_half_up(x):
     return int(np.floor(x + 0.5))
 
 
+# Exploitation orders integer keys: the bits of a double, with its low 63
+# bits flipped when it is negative, order as the double does.
+_LOW_BITS = np.int64(0x7FFFFFFFFFFFFFFF)
+_NAN_KEY = np.float64(np.inf).view(np.int64) + 1   # every NaN: just above +inf
+_TAKEN_KEY = np.iinfo(np.int64).max                # self and explored: after all
+
+
+def _descending_keys(values):
+    """int64 keys, in place of the float ``values``, whose ascending order is
+    the order of ``-values`` in a NumPy sort: -0.0 equal to 0.0, and every
+    NaN equal to every other and after +inf."""
+    np.subtract(0.0, values, out=values)   # negates, and makes -0.0 into 0.0
+    nan = np.isnan(values)
+    keys = values.view(np.int64)
+    keys ^= (keys >> 63) & _LOW_BITS
+    keys[nan] = _NAN_KEY
+    return keys
+
+
 def greedy_sample(scores, own_id, participants, budget, eps, rng):
     """Two-stage epsilon-greedy selection of ``budget`` peers.
 
     An exploration block of round-half-up(eps * budget) peers is drawn
     uniformly without replacement; the rest are the peers with the highest
-    ``scores[own_id, peer]``, ties broken toward the lower agent id.  A
-    budget larger than the available peers is clamped; ``fedcbo_round``
-    counts the clamps.  Returns a sorted id list.
+    ``scores[own_id, peer]``, ties broken toward the lower agent id, NaN
+    last.  A budget larger than the available peers is clamped;
+    ``fedcbo_round`` counts the clamps.  Returns a sorted id list.
+
+    ``own_id`` may also be a 1-D array of n ids, either all participants or
+    none, with ``rng`` a sequence of n streams, one per id.  The result is
+    then an (n, budget) array whose row r is the sorted selection of
+    ``own_id[r]`` on ``rng[r]``, as a one-id call returns it, and each stream
+    is consumed alike.  Each agent's exploration is one ``rng.choice`` on its
+    own stream, in agent order.  The exploitation of a block of agents is
+    one array pass over their score rows.  Each ``-score`` becomes an
+    integer key that orders as NumPy sorts floats, and self and explored
+    peers get a key above every score's, NaN included.  Per row, the agent
+    takes every peer whose key is below the n_exploit-th smallest, then the
+    lowest ids among those equal to it: the order of ``lexsort((peers,
+    -row))``, since both use only comparisons.  The n_exploit-th smallest
+    key comes from a sort, because ``np.partition`` slows down several-fold
+    on rows whose scores are mostly equal, as they are while few peers have
+    been scored.
     """
     if not 0.0 <= eps <= 1.0:
         raise InvalidParameterError(f"eps must be in [0, 1], got {eps}")
     if budget < 0:
         raise InvalidParameterError(f"budget must be >= 0, got {budget}")
-    participants = np.asarray(participants, dtype=int)
-    peers = np.sort(participants[participants != own_id])
-    budget = min(budget, peers.size)
-    if budget == 0:
-        return []
+    single = np.ndim(own_id) == 0
+    own = np.atleast_1d(np.asarray(own_id, dtype=int))
+    streams = [rng] if single else rng
+    participants = np.sort(np.asarray(participants, dtype=int))
+    member = np.isin(own, participants)
+    if member.any() and not member.all():
+        raise InvalidParameterError("own ids must be all participants or none")
+    member = bool(member.any())
+    m = participants.size - member
+    budget = min(budget, m)
     n_explore = min(budget, _round_half_up(eps * budget))
-    picked = np.zeros(peers.size, dtype=bool)
-    if n_explore:
-        # Drawing positions in ``peers`` consumes the stream exactly as
-        # drawing from ``peers`` itself does.
-        picked[rng.choice(peers.size, size=n_explore, replace=False)] = True
     n_exploit = budget - n_explore
-    if n_exploit:
-        remaining = np.flatnonzero(~picked)
-        row = scores[own_id, peers[remaining]]
-        order = np.lexsort((peers[remaining], -row))
-        picked[remaining[order[:n_exploit]]] = True
-    return peers[picked].tolist()
+    # The participants' score columns: every column under full participation.
+    columns = slice(None) if participants.size == len(scores) else participants
+    out = np.empty((own.size, budget), dtype=int)
+    for block in (agent_blocks(own.size, participants.size) if budget else []):
+        ids = own[block]
+        rows = np.arange(ids.size)[:, None]
+        # Participant column of own[r], and of its peer k: k + (k >= skip[r]).
+        skip = np.searchsorted(participants, ids)[:, None] if member else participants.size
+        explored = np.empty((ids.size, 0), dtype=int)
+        if n_explore:
+            # Drawing positions among the peers consumes each stream exactly
+            # as drawing the peers themselves does.
+            draws = np.array([gen.choice(m, size=n_explore, replace=False)
+                              for gen in streams[block]])
+            explored = draws + (draws >= skip)
+        picked = np.zeros((ids.size, participants.size), dtype=bool)
+        if n_exploit:
+            # Indexing by ``ids`` copies, so the keys never overwrite ``scores``.
+            key = _descending_keys(scores[ids][:, columns].astype(np.float64, copy=False))
+            key[rows, explored] = _TAKEN_KEY
+            if member:
+                key[rows, skip] = _TAKEN_KEY
+            nth = np.sort(key, axis=1)[:, n_exploit - 1:n_exploit]
+            below, tied = key < nth, key == nth
+            # Of the peers tied at the threshold, the lowest ids fill the
+            # places left.
+            need = n_exploit - below.sum(axis=1, keepdims=True)
+            tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= need
+            np.logical_or(below, tied, out=picked)
+        picked[rows, explored] = True
+        pos = np.nonzero(picked)[1].reshape(ids.size, budget)
+        out[block] = participants[pos]
+    return out[0].tolist() if single else out
 
 
 @dataclass
@@ -164,14 +226,15 @@ def _contract(own, stack, losses, hp, usable):
     return own - step * (own - value)
 
 
-def _aggregate_block(agents, candidates, stack, losses, hp, scores, dropped):
+def _aggregate_block(agents, candidates, stack, losses, hp, scores):
     """New models of a block of agents, in one masked pass.  candidates[r]
     holds agent r's download ids then its own id, stack[r] those models and
     losses[r] their losses on agent r's data.  A peer with a non-finite loss
-    is dropped: weight 0, no score delta, listed in ``dropped``; the other
-    peers' deltas go into ``scores``.  An agent fails if its own loss or its
+    is dropped: weight 0 and no score delta; the other peers' deltas go into
+    the block's rows of ``scores``.  An agent fails if its own loss or its
     new model is not finite, or if it has no usable model.  Returns (new
-    models, first failing row or len(agents)).
+    models, first failing row or len(agents), {agent: dropped peer ids} of
+    the rows before it).
     """
     peer_ids, peer_losses, own_loss = candidates[:, :-1], losses[:, :-1], losses[:, -1]
     own = stack[:, -1]
@@ -184,11 +247,9 @@ def _aggregate_block(agents, candidates, stack, losses, hp, scores, dropped):
     kept = np.isfinite(peer_losses)
     rows, cols = np.nonzero(kept)
     scores[agents[rows], peer_ids[rows, cols]] += own_loss[rows] - peer_losses[rows, cols]
-    for r in np.flatnonzero(~kept[:first].all(axis=1)):
-        j = int(agents[r])
-        dropped[j] = peer_ids[r, ~kept[r]].tolist()
-        log.warning("agent %d: dropped models with non-finite loss: %s", j, dropped[j])
-    return new, first
+    dropped = {int(agents[r]): peer_ids[r, ~kept[r]].tolist()
+               for r in np.flatnonzero(~kept[:first].all(axis=1))}
+    return new, first, dropped
 
 
 def _divergence(round_index, agent, phase):
@@ -211,11 +272,17 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
     written.  Per-agent randomness (mini-batches, selection) comes from
     ``streams``; ``round_rng`` only picks the participant set.
 
+    Selection is one ``greedy_sample`` call for all participants.
+    Aggregation is one ``tasks.pool`` map over agent blocks; each block
+    writes only its own rows, so the results have the same bits on any
+    number of threads.
+
     Returns (new_models, new_scores, RoundLog); the input state is never
     mutated.  An agent fails if its updated model, own loss or aggregated
     model is not finite, or if it has no usable model; the round then aborts
     with a DivergenceError naming the round (``step``) and the lowest
-    failing agent (``index``).  Peers with a non-finite loss are dropped.
+    failing agent (``index``).  Peers with a non-finite loss are dropped and
+    logged in agent order, up to the failing agent.
     """
     n_agents = len(tasks)
     if models.shape[0] != n_agents or scores.shape != (n_agents, n_agents):
@@ -242,27 +309,40 @@ def fedcbo_round(models, tasks, scores, hp, round_index, streams,
     if bad.any():
         raise _divergence(round_index, int(participants[np.argmax(bad)]), "local update")
 
-    # Phase 2: every agent samples its downloads from the round's input scores.
-    budget = min(hp.download_budget, len(participants) - 1)
-    picks = np.array([greedy_sample(scores, int(j), participants, hp.download_budget,
-                                    eps, streams[j]) for j in participants],
-                     dtype=int).reshape(len(participants), budget)
+    # Phase 2: every agent samples its downloads from the round's input
+    # scores, all agents in one call.
+    picks = greedy_sample(scores, participants, participants, hp.download_budget, eps,
+                          [streams[j] for j in participants])
+    budget = picks.shape[1]
 
-    # Phase 3: aggregation against the post-update models, in agent blocks.
+    # Phase 3: aggregation against the post-update models, one pool item per
+    # agent block.  An item gathers its block's models, maps their losses on
+    # the same pool, and writes only its own rows of the results.
     candidates = np.concatenate([picks, participants[:, None]], axis=1)
     new_models = updated.copy()
     new_scores = scores.copy()
-    own_losses, dropped = np.empty(len(participants)), {}
-    for block in agent_blocks(len(participants), candidates.shape[1] * models.shape[1]):
+    own_losses = np.empty(len(participants))
+
+    def aggregate(block):
         agents = participants[block]
         stack = updated[candidates[block]]
         losses = tasks.losses(agents, stack)
-        new, first = _aggregate_block(agents, candidates[block], stack, losses, hp,
-                                      new_scores, dropped)
+        new_models[agents], first, dropped = _aggregate_block(
+            agents, candidates[block], stack, losses, hp, new_scores)
+        own_losses[block] = losses[:, -1]
+        return agents, first, dropped
+
+    blocks = agent_blocks(len(participants), candidates.shape[1] * models.shape[1],
+                          tasks.pool.size)
+    dropped = {}
+    # Block by block, as a serial loop would: log the drops before the
+    # lowest failing agent, then name it.
+    for agents, first, block_dropped in tasks.pool.map(aggregate, blocks):
+        for j, ids in block_dropped.items():
+            log.warning("agent %d: dropped models with non-finite loss: %s", j, ids)
+        dropped.update(block_dropped)
         if first < len(agents):
             raise _divergence(round_index, int(agents[first]), "aggregation")
-        new_models[agents] = new
-        own_losses[block] = losses[:, -1]
 
     participants = participants.tolist()
     log_entry = RoundLog(round_index=round_index, participants=participants, eps=eps,

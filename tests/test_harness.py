@@ -396,6 +396,28 @@ def test_cli_run_and_plot_export_happy_path(tmp_path, capsys):
     assert (out / "plot_data.csv").exists()
 
 
+def test_round_without_downloads_writes_valid_json(tmp_path):
+    # Half of 2 agents is one participant, who has no peer to download, so
+    # the selection ratio is undefined: it is recorded as null, not NaN.
+    config_path = write_config(tmp_path, {
+        "problem": {"n_agents": 2, "n_clusters": 2},
+        "schedule": {"rounds": 2, "participation": 0.5},
+        "protocol": "fedcbo", "seeds": [1],
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    with open(out / "metrics_seed1.jsonl") as fh:
+        records = [json.loads(line, parse_constant=reject) for line in fh]
+    assert [r["sr"] for r in records] == [None, None]
+    with open(out / "summary.csv", newline="") as fh:
+        assert "sr" not in [row["metric"] for row in csv.DictReader(fh)]
+    assert main(["plot-export", "--run-dir", str(out)]) == 0
+
+
 def test_plot_export_out_must_be_a_csv_path(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", write_config(tmp_path, CLI_BENCHMARK),

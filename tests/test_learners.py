@@ -1,11 +1,13 @@
 """Models, gradients, local training, and the synthetic clustered dataset."""
 
+import gc
 import math
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -277,6 +279,60 @@ def test_pool_returns_results_in_item_order():
         assert pool.map(lambda i: time.sleep(0.002 * (6 - i)) or -i,
                         range(6)) == [0, -1, -2, -3, -4, -5]
         assert pool.map(str, []) == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pool_map_nested_in_an_item_of_the_same_pool(threads):
+    # fedcbo_round's aggregation items map their loss blocks on the pool that
+    # runs them.  The inner map must finish on the threads it has, keep item
+    # order, and fail like a flat map.
+    before = threading.active_count()
+    runs, lock, failing = [], threading.Lock(), set()
+
+    def inner(item):
+        with lock:
+            runs.append(item)
+        time.sleep(0)
+        if item in failing:
+            raise ValueError(item)
+        return item
+
+    with WorkerPool(threads) as pool:
+        pool.size = threads   # two threads even on one CPU
+        for _ in range(200):
+            runs.clear()
+            got = pool.map(lambda o: pool.map(inner, [(o, i) for i in range(5)]), range(6))
+            assert got == [[(o, i) for i in range(5)] for o in range(6)]
+            assert sorted(runs) == [(o, i) for o in range(6) for i in range(5)]
+        failing.update([(3, 2), (4, 0)])
+        with pytest.raises(ValueError) as err:
+            pool.map(lambda o: pool.map(inner, [(o, i) for i in range(5)]), range(6))
+        assert err.value.args == ((3, 2),)
+    assert threading.active_count() == before
+
+
+def test_pool_map_nested_in_a_busy_pool_runs_on_its_caller_and_keeps_nothing():
+    # While both threads of a pool of two are inside outer items, an inner
+    # map has no free helper.  It runs on its caller and queues nothing: a
+    # cancelled helper left in the executor's queue would keep the inner
+    # items alive until the outer map ends, one block's data per inner map.
+    class Block:
+        pass
+
+    both_inside = threading.Barrier(2, timeout=10)
+
+    def outer(_):
+        both_inside.wait()
+        block, caller = Block(), threading.get_ident()
+        ran_on = pool.map(lambda b: threading.get_ident(), [block] * 3)
+        ref = weakref.ref(block)
+        del block
+        gc.collect()
+        return ran_on == [caller] * 3, ref() is None
+
+    with WorkerPool(2) as pool:
+        pool.size = 2   # two threads even on one CPU
+        assert pool.map(outer, range(2)) == [(True, True)] * 2
 
 
 def test_rotation_matrix_geometry():

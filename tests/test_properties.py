@@ -21,6 +21,7 @@ try:
 except ImportError:  # SciPy is a test extra; only the cross-check needs it
     wasserstein_distance = None
 
+from fedcbo import learners
 from fedcbo import rng as rng_mod
 from fedcbo.diagnostics import make_projections, sliced_w1
 from fedcbo import sde
@@ -63,7 +64,10 @@ def reference_greedy_sample(scores, own_id, participants, budget, eps, rng):
     n_exploit = budget - n_explore
     if n_exploit:
         row = np.array([scores[own_id, i] for i in remaining])
-        order = sorted(range(len(remaining)), key=lambda t: (-row[t], remaining[t]))
+        # Highest score first, NaN last, as np.lexsort orders -row.
+        order = sorted(range(len(remaining)),
+                       key=lambda t: (bool(np.isnan(row[t])),
+                                      0.0 if np.isnan(row[t]) else -row[t], remaining[t]))
         exploit = [remaining[t] for t in order[:n_exploit]]
     else:
         exploit = []
@@ -155,8 +159,10 @@ def selection_case(draw):
     own = draw(st.integers(0, n_agents - 1))
     others = draw(st.lists(st.integers(0, n_agents - 1), unique=True, max_size=n_agents))
     participants = sorted(set(others) | {own})
-    # Few distinct values, both signed zeros: plenty of exact ties.
-    values = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, 3.0]),
+    # Few distinct values, both signed zeros, both infinities and NaN of
+    # either sign bit: plenty of exact ties.
+    values = draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, 3.0,
+                                            np.inf, -np.inf, np.nan, -np.nan]),
                            min_size=n_agents * n_agents, max_size=n_agents * n_agents))
     scores = np.reshape(values, (n_agents, n_agents))
     budget = draw(st.integers(0, n_agents + 3))
@@ -190,6 +196,24 @@ def test_selection_equals_reference_and_consumes_the_stream_alike(case):
     ref = reference_greedy_sample(scores, own, participants, budget, eps, ref_rng)
     assert fast == ref
     assert same_position([fast_rng], [ref_rng])
+
+
+@SETTINGS
+@given(selection_case(), st.sampled_from([1 << 17, 40, 3]))
+def test_block_selection_equals_reference_row_by_row(case, block_doubles):
+    # Every participant selects at once, over one block or several.
+    scores, _, participants, budget, eps, seed = case
+    own = np.array(participants)
+    streams = [rng_mod.stream(seed, rng_mod.AGENT, j) for j in own]
+    ref_streams = [rng_mod.stream(seed, rng_mod.AGENT, j) for j in own]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learners, "BLOCK_DOUBLES", block_doubles)
+        picks = greedy_sample(scores, own, participants, budget, eps, streams)
+    assert picks.shape == (own.size, min(budget, own.size - 1))
+    for j, row, gen in zip(own, picks, ref_streams, strict=True):
+        assert row.tolist() == reference_greedy_sample(scores, int(j), participants,
+                                                        budget, eps, gen)
+    assert same_position(streams, ref_streams)
 
 
 # ---------------------------------------------------------------- model kernels

@@ -4,17 +4,19 @@ snapshot semantics, and atomic failure handling."""
 import dataclasses
 import logging
 import math
+import time
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from fedcbo import learners
 from fedcbo import rng as rng_mod
 from fedcbo.config import resolve_config
 from fedcbo.errors import DivergenceError, InvalidParameterError
 from fedcbo.experiment import build_setup, run_protocol
-from fedcbo.learners import ObjectiveTasks
+from fedcbo.learners import ObjectiveTasks, WorkerPool, agent_blocks
 from fedcbo.objectives import make_quadratic
 from fedcbo.protocol import (_contract, _round_half_up, fedcbo_round, greedy_sample,
                              local_aggregation, oracle_sr, selection_ratio)
@@ -358,6 +360,95 @@ def test_divergence_names_the_round_and_the_lowest_agent():
     assert err.value.step == 7
     assert err.value.index == 3
     assert "round 7, agent 3" in str(err.value)
+
+
+class SlowInjectedTasks(ObjectiveTasks):
+    """Losses with the (agent, column) entries of ``bad`` replaced.  The
+    block holding agent 0 is slow, so on two threads later blocks finish
+    first."""
+
+    def __init__(self, objectives, bad, pool):
+        super().__init__(objectives, pool=pool)
+        self.bad = bad
+
+    def losses(self, agents, candidates):
+        if 0 in agents:
+            time.sleep(0.02)
+        out = super().losses(agents, candidates)
+        for (j, c), value in self.bad.items():
+            out[agents == j, c] = value
+        return out
+
+
+def test_round_failure_on_two_threads_matches_one_thread(monkeypatch, caplog):
+    # 12 agents with 1-D models and budget 2: a bound of 9 doubles makes 4
+    # aggregation blocks of 3 agents.  Agent 7 (third block) loses its own
+    # loss; peers are dropped before it in the first three blocks and after
+    # it in the third and fourth.  Only the drops before agent 7 are logged,
+    # in agent order, whichever thread ran their block.
+    monkeypatch.setattr(learners, "BLOCK_DOUBLES", 9)
+    n_agents = 12
+    objectives = [make_quadratic(1, np.array([float(j % 3)])) for j in range(n_agents)]
+    models = np.linspace(-1.0, 1.0, n_agents)[:, None]
+    scores = np.zeros((n_agents, n_agents))
+    hp = HyperParams(consensus_drift=1.0, grad_drift=1.0, alpha=1.0, step_size=0.1,
+                     local_steps=1, download_budget=2)
+    bad = {(1, 0): np.nan, (4, 1): np.inf, (6, 0): np.nan, (7, 2): np.nan,
+           (8, 0): np.nan, (10, 1): -np.inf}
+
+    def run(pool):
+        assert len(agent_blocks(n_agents, 3, pool.size)) == 4
+        tasks = SlowInjectedTasks(objectives, bad, pool)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING), pytest.raises(DivergenceError) as err:
+            fedcbo_round(models, tasks, scores, hp, 5, rng_mod.agent_streams(0, n_agents))
+        return err.value, [r.getMessage() for r in caplog.records]
+
+    with WorkerPool(1) as pool:
+        err_one, log_one = run(pool)
+    with WorkerPool(2) as pool:
+        pool.size = 2   # two threads even on one CPU
+        err_two, log_two = run(pool)
+    assert (err_two.step, err_two.index) == (err_one.step, err_one.index) == (5, 7)
+    assert "round 5, agent 7:" in str(err_two)
+    assert log_two == log_one
+    assert [m.split(":")[0] for m in log_one] == ["agent 1", "agent 4", "agent 6"]
+    assert np.array_equal(models, np.linspace(-1.0, 1.0, n_agents)[:, None])
+    assert not scores.any()
+
+
+@pytest.mark.parametrize("participation", [1.0, 0.6])
+@pytest.mark.parametrize("problem", [
+    {"n_agents": 20, "n_clusters": 2, "n_per_agent": 10, "input_dim": 3, "hidden": 4},
+    {"kind": "benchmark", "objective": "rastrigin", "dim": 20, "n_per_cluster": 10},
+], ids=["learner", "benchmark"])
+def test_round_on_two_threads_equals_one_thread(monkeypatch, problem, participation):
+    # A small bound makes several aggregation blocks; a learner block's loss
+    # call maps several loss blocks on the pool that runs it.
+    monkeypatch.setattr(learners, "BLOCK_DOUBLES", 600)
+    config = resolve_config({"problem": problem, "hyperparams": {"download_budget": 3}})
+
+    def run(pool):
+        setup = build_setup(config, 0, pool)
+        models = setup.initial_models
+        if models is None:
+            models = np.random.default_rng(2).normal(size=(20, problem["dim"]))
+        assert len(agent_blocks(20, 4 * models.shape[1], pool.size)) > 2
+        streams = rng_mod.agent_streams(0, 20)
+        scores = np.random.default_rng(1).integers(-2, 3, size=(20, 20)) * 0.5
+        new_models, new_scores, entry = fedcbo_round(
+            models, setup.tasks, scores, config.hp(), 0, streams,
+            participation, rng_mod.stream(0, rng_mod.ROUND))
+        return (new_models.tobytes(), new_scores.tobytes(), entry.selections,
+                np.array(list(entry.own_losses.values())).tobytes(),
+                [s.random() for s in streams])
+
+    with WorkerPool(1) as pool:
+        one = run(pool)
+    with WorkerPool(2) as pool:
+        pool.size = 2
+        two = run(pool)
+    assert one == two
 
 
 def test_objective_tasks_train_is_plain_descent():
