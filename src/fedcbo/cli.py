@@ -31,8 +31,8 @@ def _add_shared(parser):
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="threads, at most the usable CPUs: run splits each round's "
-                             "training, aggregation and scoring blocks over them, "
+                        help="threads, at most the usable CPUs: run splits each learner "
+                             "round's training, aggregation and scoring blocks over them, "
                              "compare its protocol x seed jobs; results are "
                              "identical for any value")
 

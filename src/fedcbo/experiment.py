@@ -73,8 +73,8 @@ def build_benchmark(problem_cfg):
 
 
 def build_setup(config, seed, pool=None):
-    """Instantiate tasks and initial models for one seed.  The tasks run
-    their agent blocks on ``pool`` (learners.WorkerPool)."""
+    """Instantiate tasks and initial models for one seed.  A learner
+    problem's tasks run their agent blocks on ``pool`` (learners.WorkerPool)."""
     problem = config.problem
     hp = config.hp()
     if problem["kind"] == "benchmark":
@@ -82,7 +82,7 @@ def build_setup(config, seed, pool=None):
         n_agents = problem["n_per_cluster"] * bench.n_clusters
         labels = np.arange(n_agents) % bench.n_clusters
         tasks = ObjectiveTasks([bench.objectives[k] for k in labels],
-                               momentum=hp.momentum, pool=pool)
+                               momentum=hp.momentum)
         setup = ProblemSetup(tasks=tasks, initial_models=None, agent_cluster=labels,
                              n_clusters=bench.n_clusters, benchmark=bench)
     else:
@@ -247,8 +247,8 @@ def run_protocol(config, seed, pool=None, final_only=False):
     """Run one protocol for one seed; returns (records, counters).
 
     Every round is scored, or with ``final_only`` only the last one; the
-    other records then carry no scores.  ``pool`` runs the agent blocks.
-    ``counters`` totals the fedcbo round counters (see
+    other records then carry no scores.  ``pool`` runs the agent blocks of
+    learner problems.  ``counters`` totals the fedcbo round counters (see
     protocol.RoundLog; empty for the baselines).  They belong in the
     manifest, never in the metric files.  A clamped download budget is
     logged once per run.

@@ -495,14 +495,15 @@ class ObjectiveTasks:
     stream, so runs are deterministic given the initial models.  Agents
     that share an objective are batched through its ``gradients`` and
     ``losses``, the calls ``run_sde`` makes; every row equals its
-    batch-of-one result bit for bit.  ``pool`` is the pool the round runs
-    its aggregation blocks on, as for ShardTasks; by default a pool of one.
+    batch-of-one result bit for bit.  ``pool``, which the round runs its
+    aggregation blocks on, is a pool of one: an agent's rows here are too
+    light to gain from splitting the blocks over threads.
     """
 
-    def __init__(self, objectives, momentum=0.0, pool=None):
+    def __init__(self, objectives, momentum=0.0):
         self.objectives = list(objectives)
         self.momentum = momentum
-        self.pool = pool if pool is not None else WorkerPool()
+        self.pool = WorkerPool()
 
     def __len__(self):
         return len(self.objectives)

@@ -64,8 +64,8 @@ def greedy_sample(scores, own_id, participants, budget, eps, rng):
     last.  A budget larger than the available peers is clamped;
     ``fedcbo_round`` counts the clamps.  Returns a sorted id list.
 
-    ``own_id`` may also be a 1-D array of n ids, either all participants or
-    none, with ``rng`` a sequence of n streams, one per id.  The result is
+    ``own_id`` may also be a 1-D array of n ids, with ``rng`` a sequence of
+    n streams, one per id.  Every own id must be a participant.  The result is
     then an (n, budget) array whose row r is the sorted selection of
     ``own_id[r]`` on ``rng[r]``, as a one-id call returns it, and each stream
     is consumed alike.  Each agent's exploration is one ``rng.choice`` on its
@@ -88,22 +88,19 @@ def greedy_sample(scores, own_id, participants, budget, eps, rng):
     own = np.atleast_1d(np.asarray(own_id, dtype=int))
     streams = [rng] if single else rng
     participants = np.sort(np.asarray(participants, dtype=int))
-    member = np.isin(own, participants)
-    if member.any() and not member.all():
-        raise InvalidParameterError("own ids must be all participants or none")
-    member = bool(member.any())
-    m = participants.size - member
+    if not np.isin(own, participants).all():
+        raise InvalidParameterError("own ids must be participants")
+    m = participants.size - 1
     budget = min(budget, m)
     n_explore = min(budget, _round_half_up(eps * budget))
     n_exploit = budget - n_explore
-    # The participants' score columns: every column under full participation.
-    columns = slice(None) if participants.size == len(scores) else participants
+    full = participants.size == len(scores)
     out = np.empty((own.size, budget), dtype=int)
     for block in (agent_blocks(own.size, participants.size) if budget else []):
         ids = own[block]
         rows = np.arange(ids.size)[:, None]
         # Participant column of own[r], and of its peer k: k + (k >= skip[r]).
-        skip = np.searchsorted(participants, ids)[:, None] if member else participants.size
+        skip = np.searchsorted(participants, ids)[:, None]
         explored = np.empty((ids.size, 0), dtype=int)
         if n_explore:
             # Drawing positions among the peers consumes each stream exactly
@@ -113,11 +110,12 @@ def greedy_sample(scores, own_id, participants, budget, eps, rng):
             explored = draws + (draws >= skip)
         picked = np.zeros((ids.size, participants.size), dtype=bool)
         if n_exploit:
-            # Indexing by ``ids`` copies, so the keys never overwrite ``scores``.
-            key = _descending_keys(scores[ids][:, columns].astype(np.float64, copy=False))
+            # The participants' score columns of the block's rows.  Indexing
+            # copies, so the keys never overwrite ``scores``.
+            block_scores = scores[ids] if full else scores[np.ix_(ids, participants)]
+            key = _descending_keys(block_scores.astype(np.float64, copy=False))
             key[rows, explored] = _TAKEN_KEY
-            if member:
-                key[rows, skip] = _TAKEN_KEY
+            key[rows, skip] = _TAKEN_KEY
             nth = np.sort(key, axis=1)[:, n_exploit - 1:n_exploit]
             below, tied = key < nth, key == nth
             # Of the peers tied at the threshold, the lowest ids fill the

@@ -142,6 +142,10 @@ def test_zero_budget_and_validation():
         greedy_sample(scores, 0, [0, 1, 2], budget=-1, eps=0.5, rng=gen)
     with pytest.raises(InvalidParameterError):
         greedy_sample(scores, 0, [0, 1, 2], budget=1, eps=1.5, rng=gen)
+    with pytest.raises(InvalidParameterError):
+        greedy_sample(scores, 0, [1, 2], budget=1, eps=0.5, rng=gen)
+    with pytest.raises(InvalidParameterError):
+        greedy_sample(scores, np.array([1, 0]), [1, 2], budget=1, eps=0.5, rng=[gen, gen])
 
 
 def quadratic_loss(theta):
@@ -368,7 +372,8 @@ class SlowInjectedTasks(ObjectiveTasks):
     first."""
 
     def __init__(self, objectives, bad, pool):
-        super().__init__(objectives, pool=pool)
+        super().__init__(objectives)
+        self.pool = pool
         self.bad = bad
 
     def losses(self, agents, candidates):
@@ -418,21 +423,16 @@ def test_round_failure_on_two_threads_matches_one_thread(monkeypatch, caplog):
 
 
 @pytest.mark.parametrize("participation", [1.0, 0.6])
-@pytest.mark.parametrize("problem", [
-    {"n_agents": 20, "n_clusters": 2, "n_per_agent": 10, "input_dim": 3, "hidden": 4},
-    {"kind": "benchmark", "objective": "rastrigin", "dim": 20, "n_per_cluster": 10},
-], ids=["learner", "benchmark"])
-def test_round_on_two_threads_equals_one_thread(monkeypatch, problem, participation):
-    # A small bound makes several aggregation blocks; a learner block's loss
-    # call maps several loss blocks on the pool that runs it.
+def test_round_on_two_threads_equals_one_thread(monkeypatch, participation):
+    # A small bound makes several aggregation blocks; each block's loss call
+    # maps several loss blocks on the pool that runs it.
     monkeypatch.setattr(learners, "BLOCK_DOUBLES", 600)
+    problem = {"n_agents": 20, "n_clusters": 2, "n_per_agent": 10, "input_dim": 3, "hidden": 4}
     config = resolve_config({"problem": problem, "hyperparams": {"download_budget": 3}})
 
     def run(pool):
         setup = build_setup(config, 0, pool)
         models = setup.initial_models
-        if models is None:
-            models = np.random.default_rng(2).normal(size=(20, problem["dim"]))
         assert len(agent_blocks(20, 4 * models.shape[1], pool.size)) > 2
         streams = rng_mod.agent_streams(0, 20)
         scores = np.random.default_rng(1).integers(-2, 3, size=(20, 20)) * 0.5
