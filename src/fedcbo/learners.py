@@ -504,16 +504,20 @@ class ObjectiveTasks:
         self.objectives = list(objectives)
         self.momentum = momentum
         self.pool = WorkerPool()
+        # Each agent's index into the distinct objectives, by identity.
+        first = {}
+        self._index = np.array([first.setdefault(id(f), len(first))
+                                for f in self.objectives], dtype=np.intp)
+        self._distinct = list({id(f): f for f in self.objectives}.values())
 
     def __len__(self):
         return len(self.objectives)
 
     def _rows(self, agents):
         """(objective, the rows r whose agents[r] has it), per distinct objective."""
-        keys = np.array([id(self.objectives[j]) for j in agents])
+        keys = self._index[agents]
         for key in np.unique(keys):
-            rows = np.flatnonzero(keys == key)
-            yield self.objectives[agents[rows[0]]], rows
+            yield self._distinct[key], np.flatnonzero(keys == key)
 
     def train(self, thetas, agents, steps, rate, streams):
         """``steps`` descent steps of agents[r] from thetas[r]; returns the

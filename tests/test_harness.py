@@ -199,7 +199,7 @@ COMMAND_MANIFEST = {
     # keys of the command's own, and the pattern of its metric file names
     "run": ({"protocol", "wall_time_s", "counters", "threads"}, "metrics_seed{}.jsonl"),
     "compare": ({"protocols", "table", "flags", "timing", "threads"}, None),
-    "sde": (set(), "trajectory_seed{}.jsonl"),
+    "sde": ({"timing", "threads"}, "trajectory_seed{}.jsonl"),
     "scan-meanfield": ({"reference_size", "monotone_violations"}, None),
 }
 
