@@ -229,7 +229,8 @@ def test_long_runs_cross_noise_chunk_boundary_consistently(monkeypatch):
 @pytest.mark.parametrize("budget, blocks", [
     (1, [1] * 7),                    # below one step: one step per block
     (2 * 2 * 10 * 3, [3, 3, 1]),      # three steps per block, partial last
-    (sde.NOISE_DOUBLES, [7]),         # capped at the steps left
+    (1 << 24, [7]),                   # capped at the steps left
+    (sde.NOISE_DOUBLES, [7]),         # the default budget holds a short run
 ])
 def test_noise_blocks_stay_within_the_budget(monkeypatch, budget, blocks):
     monkeypatch.setattr(sde, "NOISE_DOUBLES", budget)
