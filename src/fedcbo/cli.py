@@ -33,9 +33,8 @@ def _add_shared(parser):
     parser.add_argument("--threads", type=int, default=1,
                         help="threads, at most the usable CPUs: run splits each learner "
                              "round's training, aggregation and scoring blocks over them, "
-                             "compare its protocol x seed jobs, and sde draws its next "
-                             "noise block on a second one; scan-meanfield runs on one. "
-                             "Results are identical for any value")
+                             "compare its protocol x seed jobs; results are "
+                             "identical for any value")
 
 
 def build_parser():
@@ -117,7 +116,7 @@ def main(argv=None):
             print(f"scan complete: reference size {manifest['reference_size']}, "
                   f"{manifest['monotone_violations']} monotonicity violation(s)")
         elif args.command == "sde":
-            manifest = run_sde_experiment(config, out_dir=args.out, threads=args.threads)
+            manifest = run_sde_experiment(config, out_dir=args.out)
             print(f"sde run complete: {len(manifest['metrics_files'])} trajectory file(s)")
         return 0
     except ConfigError as exc:

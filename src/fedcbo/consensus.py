@@ -57,41 +57,29 @@ def gibbs_mean(pt, losses, alpha):
     """Gibbs-weighted means of R clouds at once, without validation.
 
     ``pt`` is a (d, R, N) coordinate-major array of R clouds of N particles
-    and ``losses`` their (..., R, N) losses: one (R, N) set per leading
-    index, each weighting the same clouds.  Returns the (d, ..., R) means,
-    each clipped onto its cloud's coordinate range, and the (..., R) sums
-    of the shifted weights.  Every run is reduced along the particle axis
-    on its own, so a result does not depend on the other runs or loss sets.
+    and ``losses`` their (R, N) losses.  Returns the (d, R) means, each
+    clipped onto its cloud's coordinate range, and the (R,) sums of the
+    shifted weights.  Every run is reduced along the particle axis on its
+    own, so a run's result does not depend on the other runs.
     """
     shifted = losses - losses.min(axis=-1, keepdims=True)
     weights = np.exp(-alpha * shifted)
     total = np.add.reduce(weights, axis=-1)
-    # Each coordinate's sum runs in particle order: with one coordinate the
-    # 1-D reduce is the (n, 1) reduce; otherwise accumulate is sequential
-    # like the (n, dim) reduce over rows, in any memory layout.  The weighted
-    # coordinates go one at a time into the spent shifted losses, so that no
-    # (d, ..., R, N) product is allocated: at 20,000 particles per cluster
-    # that product is 1.28 MB, which malloc mapped afresh on every call of
-    # a two-thread sde run.
-    value = np.empty(pt.shape[:1] + total.shape)
-    for coord, out in zip(pt, value):
-        weighted = np.multiply(coord, weights, out=shifted)
-        out[...] = (np.add.reduce(weighted, axis=-1) if len(pt) == 1 else
-                    np.add.accumulate(weighted, axis=-1, out=weighted)[..., -1])
-    value /= total
+    # Both sums run in particle order: with one coordinate the 1-D reduce is
+    # the (n, 1) reduce; otherwise accumulate is sequential like the (n, dim)
+    # reduce over rows, in any memory layout.
+    if pt.shape[0] == 1:
+        value = np.add.reduce(pt[0] * weights, axis=-1)[None] / total
+    else:
+        weighted = pt * weights
+        value = np.add.accumulate(weighted, axis=-1, out=weighted)[..., -1] / total
     # Min and max along the particle axis are exact except for the sign of
     # a zero bound, which depends on the reduction order; a run with a zero
-    # bound takes its bounds the (n, dim) way.  The bounds are the clouds',
-    # so they are taken once for every loss set, then copied out to the
-    # shape of the means: clip can give a zero the other sign when a bound
-    # is broadcast along its inner loop.
+    # bound takes its bounds the (n, dim) way.
     lo, hi = pt.min(axis=-1), pt.max(axis=-1)
     for r in np.flatnonzero(~(lo.all(axis=0) & hi.all(axis=0))):
         rows = np.ascontiguousarray(pt[:, r].T)
         lo[:, r], hi[:, r] = rows.min(axis=0), rows.max(axis=0)
-    spread = (1,) * (losses.ndim - 2)
-    lo, hi = (np.broadcast_to(b.reshape(b.shape[:1] + spread + b.shape[1:]),
-                              value.shape).copy() for b in (lo, hi))
     return np.clip(value, lo, hi), total
 
 

@@ -538,18 +538,17 @@ def compare_protocols(config, out_dir=None, threads=1):
     return {"table": table, "flags": flags, "out_dir": str(run_dir.out_dir)}
 
 
-def run_sde_experiment(config, out_dir=None, threads=1):
+def run_sde_experiment(config, out_dir=None):
     """Integrate the benchmark particle system for each seed.
 
     Writes a trajectory JSONL per seed plus sde_summary.csv with the fitted
     decay rate (over the window until V falls to 1e-3 of its start) and the
-    guaranteed rate for comparison.  With ``threads`` > 1 each run draws
-    its next noise block on a second thread while it integrates the current
-    one, with identical results.  The manifest holds each seed's wall time.
+    guaranteed rate for comparison.  It runs on one thread; the manifest
+    records that as ``threads`` and each seed's wall time under ``timing``.
     """
     if config.problem["kind"] != "benchmark":
         raise ConfigError(["problem.kind: the sde command needs a benchmark problem"])
-    with _RunDir(config, "sde", out_dir) as run_dir, WorkerPool(threads) as pool:
+    with _RunDir(config, "sde", out_dir) as run_dir:
         bench = build_benchmark(config.problem)
         hp = config.hp()
         t_steps = config.schedule["t_steps"]
@@ -559,7 +558,7 @@ def run_sde_experiment(config, out_dir=None, threads=1):
             t0 = time.perf_counter()
             result = run_sde(bench, config.problem["n_per_cluster"], hp, t_steps,
                              init=config.init_spec(), seed=seed,
-                             record_every=config.schedule["record_every"], pool=pool)
+                             record_every=config.schedule["record_every"])
             timing[str(seed)] = {"wall_s": round(time.perf_counter() - t0, 3)}
             _write_jsonl(run_dir.path(f"trajectory_seed{seed}.jsonl", "metrics"),
                          _trajectory_records(result))
@@ -574,7 +573,7 @@ def run_sde_experiment(config, out_dir=None, threads=1):
         write_csv(run_dir.path("sde_summary.csv", "summary"),
                   ["seed", "v_start", "v_end", "fitted_rate", "rate_bound",
                    "theory_regime"], rows)
-        run_dir.manifest.update(timing=timing, threads=pool.size)
+        run_dir.manifest.update(timing=timing, threads=1)
     return run_dir.manifest
 
 

@@ -14,7 +14,6 @@ isotropic Gaussian, so noise vanishes as the cloud reaches consensus.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -23,7 +22,6 @@ from . import rng as rng_mod
 from .config import HyperParams, InitSpec
 from .consensus import gibbs_mean
 from .errors import DivergenceError, InvalidParameterError
-from .learners import WorkerPool
 
 
 @dataclass
@@ -78,14 +76,13 @@ def cluster_consensus(positions, labels, problem, alpha, step=None, seeds=None):
     batch = positions.reshape((-1,) + positions.shape[-2:])
     runs, n, dim = batch.shape
     rows, pt = batch.reshape(-1, dim), batch.transpose(2, 0, 1)
-    losses = np.stack([objective.losses(rows).reshape(runs, n)
-                       for objective in problem.objectives])
-    finite = np.isfinite(losses)
-    if not finite.all():
-        k = np.flatnonzero(~finite.all(axis=(1, 2)))[0]
-        raise _divergence("loss of particle", ~finite[k], step, seeds)
-    # (d, K, R) -> (R, K, d): all K clusters' points from one pass.
-    points = np.ascontiguousarray(gibbs_mean(pt, losses, alpha)[0].transpose(2, 1, 0))
+    points = np.empty((runs, problem.n_clusters, dim))
+    for k, objective in enumerate(problem.objectives):
+        losses = objective.losses(rows).reshape(runs, n)
+        finite = np.isfinite(losses)
+        if not finite.all():
+            raise _divergence("loss of particle", ~finite, step, seeds)
+        points[:, k] = gibbs_mean(pt, losses, alpha)[0].T
     return points.reshape(positions.shape[:-2] + points.shape[1:])
 
 
@@ -161,24 +158,23 @@ def _step(pt, labels, clusters, problem, hp, noise, step, seeds=None, consensus=
     if consensus is None:
         consensus = cluster_consensus(_run_rows(pt), labels, problem, hp.alpha, step,
                                       seeds)
-    # Each particle's consensus point and gradient, cluster by cluster; the
-    # update is then one expression over the whole ensemble.
-    points, grads = np.empty_like(pt), np.empty_like(pt)
+    new = np.empty_like(pt)
     for k, (objective, sel) in enumerate(zip(problem.objectives, clusters)):
         if sel is None:
             continue
-        points[..., sel] = consensus[:, k].T[..., None]
-        grads[..., sel] = objective.gradients(_rows(pt[..., sel])).T.reshape(
-            pt[..., sel].shape)
-    to_consensus = pt - points
-    drift = pt - hp.consensus_drift * g * to_consensus - hp.grad_drift * g * grads
-    if noise is None:
-        return drift
-    return (
-        drift
-        + hp.consensus_noise * np.sqrt(g) * _row_norms(to_consensus) * noise[0]
-        + hp.grad_noise * np.sqrt(g) * _row_norms(grads) * noise[1]
-    )
+        theta = pt[..., sel]
+        to_consensus = theta - consensus[:, k].T[..., None]
+        grads = objective.gradients(_rows(theta)).T.reshape(theta.shape)
+        drift = theta - hp.consensus_drift * g * to_consensus - hp.grad_drift * g * grads
+        if noise is None:
+            new[..., sel] = drift
+            continue
+        new[..., sel] = (
+            drift
+            + hp.consensus_noise * np.sqrt(g) * _row_norms(to_consensus) * noise[0][..., sel]
+            + hp.grad_noise * np.sqrt(g) * _row_norms(grads) * noise[1][..., sel]
+        )
+    return new
 
 
 # Particles drawn into one contiguous tile before it is copied into the
@@ -274,50 +270,41 @@ def cluster_variances(positions, labels, minimizers):
     return out
 
 
-# A run's noise buffers together hold at most this many doubles (64 MiB),
-# and each at least one step, which bounds its memory whatever the cloud
-# size; an ensemble shares one run's buffers between its runs.  On a pool of
-# one a run has one buffer of this size.  On a pool of two or more a noisy
-# run of more than one block has two buffers of half the size: one is drawn
-# while the other is integrated.  Shorter blocks cost more per-stream
-# calls: at 20,000 particles per cluster on one thread, this budget's
-# 52-step blocks took a median 4% longer than the 104-step blocks of the
-# earlier 2^24 (6 pairs).
+# A run pre-draws noise in blocks of as many steps as fit in this many
+# doubles (64 MiB), at least one step, which bounds its memory whatever
+# the cloud size; an ensemble shares one run's block between its runs.
+# Shorter blocks cost more per-stream calls: at 20,000 particles per
+# cluster, this budget's 52-step blocks took a median 4% longer in process
+# than the 104-step blocks of the earlier 2^24 (6 pairs), for 64 MiB less.
 NOISE_DOUBLES = 1 << 23
 
 
 def run_sde(problem, n_per_cluster, hp, t_steps, init=None, seed=0,
-            record_every=1, checkpoint_steps=(), pool=None):
+            record_every=1, checkpoint_steps=()):
     """Integrate the coupled system for t_steps and record V and consensus error.
 
-    The one-seed case of ``run_sde_ensemble``, whose docstring gives the
-    noise blocks and the use of ``pool``.  It writes nothing; ``experiment``
-    turns the result into trajectory files.
+    The one-seed case of ``run_sde_ensemble``: its noise blocks hold
+    ``max(1, min(t_steps, NOISE_DOUBLES // (2 * d * N)))`` steps.  It
+    writes nothing; ``experiment`` turns the result into trajectory files.
     """
     return run_sde_ensemble(problem, n_per_cluster, hp, t_steps, [seed], init=init,
                             record_every=record_every,
-                            checkpoint_steps=checkpoint_steps, pool=pool)[0]
+                            checkpoint_steps=checkpoint_steps)[0]
 
 
 def run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds, init=None,
-                     record_every=1, checkpoint_steps=(), pool=None):
+                     record_every=1, checkpoint_steps=()):
     """Integrate one run per seed as one ensemble; one SdeResult per seed.
 
-    Each result equals ``run_sde`` with that seed bit for bit, on any
-    ``pool`` (a ``learners.WorkerPool``; by default a pool of one).  The
-    runs' clouds are held as one C-ordered (d, R, N) array, so each update
-    runs along the run and particle axes at once, and every reduction
-    (consensus weights, sums, clip bounds) runs along one run's particle
-    axis.  Noise is pre-drawn from per-particle streams in step-major
-    blocks, as repeated ``em_step`` calls would draw it; a noiseless run
-    draws none.  With a budget B of NOISE_DOUBLES doubles on a pool of one
-    and B = NOISE_DOUBLES // 2 on a larger pool, one run's block holds
-    S1 = max(1, min(t_steps, B // (2 * d * N))) steps; the R runs share it
-    as blocks of max(1, S1 // R) steps, and more than S1 seeds are
-    integrated in groups of at most S1.  On a larger pool a group of more
-    than one block draws block b + 1 into a second buffer, on one thread,
-    while block b is integrated on another; on a pool of one the shorter
-    blocks of the smaller budget cost some time (see NOISE_DOUBLES).
+    Each result equals ``run_sde`` with that seed bit for bit.  The runs'
+    clouds are held as one C-ordered (d, R, N) array, so each update runs
+    along the run and particle axes at once, and every reduction (consensus
+    weights, sums, clip bounds) runs along one run's particle axis.  Noise
+    is pre-drawn from per-particle streams in step-major blocks, as
+    repeated ``em_step`` calls would draw it; a noiseless run draws none.
+    The R runs share one run's block, S1 = max(1, min(t_steps,
+    NOISE_DOUBLES // (2 * d * N))) steps, as blocks of max(1, S1 // R)
+    steps; more than S1 seeds are integrated in groups of at most S1.
     Divergence raises at the first step where any run fails, naming the
     seed, the step and the particle.  Snapshots of the positions are kept
     at ``checkpoint_steps``.
@@ -327,9 +314,7 @@ def run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds, init=None,
     if n_per_cluster < 1:
         raise InvalidParameterError("n_per_cluster must be >= 1")
     seeds = list(seeds)
-    pool = pool if pool is not None else WorkerPool()
-    budget = NOISE_DOUBLES if pool.size == 1 else NOISE_DOUBLES // 2
-    run_steps = max(1, min(t_steps, budget // (
+    run_steps = max(1, min(t_steps, NOISE_DOUBLES // (
         2 * problem.dim * problem.n_clusters * n_per_cluster)))
     checkpoint_steps = sorted(set(int(s) for s in checkpoint_steps))
     results = []
@@ -337,15 +322,14 @@ def run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds, init=None,
         group = seeds[start:start + run_steps]
         results += _integrate(problem, n_per_cluster, hp, t_steps, group,
                               init or InitSpec(), record_every, checkpoint_steps,
-                              max(1, run_steps // len(group)), pool)
+                              max(1, run_steps // len(group)))
     return results
 
 
 def _integrate(problem, n_per_cluster, hp, t_steps, seeds, init, record_every,
-               checkpoint_steps, block_steps, pool):
+               checkpoint_steps, block_steps):
     """One group of seeds as one (d, R, N) ensemble, drawing noise blocks of
-    ``block_steps`` steps; each block's integration and the next block's
-    draw are the two items of one ``pool.map``."""
+    ``block_steps`` steps."""
     clouds = [make_cloud(problem, n_per_cluster, init, seed) for seed in seeds]
     labels = clouds[0].labels
     clusters = _clusters(labels, problem.n_clusters)
@@ -369,43 +353,31 @@ def _integrate(problem, n_per_cluster, hp, t_steps, seeds, init, record_every,
         rec_err.append([np.linalg.norm(p - minimizers, axis=1) for p in points])
         return points
 
-    starts = range(0, t_steps, block_steps)
-    buffers = []
-    if _noisy(hp) and len(starts):
-        buffers = [np.empty((block_steps, 2, dim, runs, n))
-                   for _ in range(1 if pool.size == 1 or len(starts) == 1 else 2)]
-
-    def draw(b):
-        noise = buffers[b % len(buffers)][:min(block_steps, t_steps - starts[b])]
-        for r, cloud in enumerate(clouds):
-            _draw_noise(cloud.streams, noise[:, :, :, r])
-        return noise
-
-    def integrate(b, noise):
-        nonlocal pt, consensus
-        for s in range(min(block_steps, t_steps - starts[b])):
-            step = starts[b] + s + 1
-            pt = _step(pt, labels, clusters, problem, hp,
-                       None if noise is None else noise[s], step, seeds, consensus)
-            consensus = None
-            _check_finite(pt, step, seeds)
-            if step % record_every == 0 or step == t_steps:
-                consensus = record(step, pt)
-            if step in checkpoint_steps:
-                for r, run in enumerate(checkpoints):
-                    run[step] = np.ascontiguousarray(pt[:, r].T)
-
+    buffer = np.empty((block_steps, 2, dim, runs, n)) if _noisy(hp) else None
     with np.errstate(over="ignore", invalid="ignore"):
         consensus = record(0, pt)
         if 0 in checkpoint_steps:
             for run, cloud in zip(checkpoints, clouds):
                 run[0] = cloud.positions.copy()
-        noise = draw(0) if buffers else None
-        for b in range(len(starts)):
-            jobs = [partial(integrate, b, noise)]
-            if buffers and b + 1 < len(starts):
-                jobs.append(partial(draw, b + 1))
-            noise = pool.map(_call, jobs)[-1]
+        step = 0
+        while step < t_steps:
+            block = min(block_steps, t_steps - step)
+            noise = None
+            if buffer is not None:
+                noise = buffer[:block]
+                for r, cloud in enumerate(clouds):
+                    _draw_noise(cloud.streams, noise[:, :, :, r])
+            for s in range(block):
+                step += 1
+                pt = _step(pt, labels, clusters, problem, hp,
+                           None if noise is None else noise[s], step, seeds, consensus)
+                consensus = None
+                _check_finite(pt, step, seeds)
+                if step % record_every == 0 or step == t_steps:
+                    consensus = record(step, pt)
+                if step in checkpoint_steps:
+                    for r, run in enumerate(checkpoints):
+                        run[step] = np.ascontiguousarray(pt[:, r].T)
 
     steps = np.array(rec_steps)
     return [
@@ -421,10 +393,6 @@ def _integrate(problem, n_per_cluster, hp, t_steps, seeds, init, record_every,
         )
         for r in range(runs)
     ]
-
-
-def _call(job):
-    return job()
 
 
 def decay_exponent_fit(v_values, times):

@@ -2,8 +2,6 @@
 behavior, step-size order, and divergence reporting."""
 
 import json
-import os
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +12,6 @@ from fedcbo.cli import main
 from fedcbo.consensus import consensus_point
 from fedcbo.errors import DivergenceError, InvalidParameterError
 from fedcbo.experiment import _trajectory_records, _write_jsonl
-from fedcbo.learners import WorkerPool
 from fedcbo.objectives import (BenchmarkProblem, make_centers_problem, make_quadratic,
                                make_well_problem)
 from fedcbo.protocol import epsilon_for_round
@@ -130,9 +127,8 @@ def test_cluster_consensus_computes_over_whole_cloud():
     (3, [[0.0] * 3, [1.0] * 3, [-1.0] * 3]),
 ])
 def test_cluster_consensus_equals_each_clusters_consensus_point(dim, centers):
-    # All clusters' points come from one pass over the stacked losses; each
-    # must keep the bits of its own consensus_point, down to the sign of a
-    # zero clipped onto a cloud whose bound is a zero.
+    # Each cluster's point keeps the bits of its own consensus_point, down
+    # to the sign of a zero clipped onto a cloud whose bound is a zero.
     prob = make_centers_problem("quadratic", dim, centers)
     for n in (1, 2, 3, 5, 9):
         labels = np.repeat(np.arange(len(centers)), n)
@@ -389,111 +385,6 @@ def test_theory_regime_recorded_on_result():
     assert run_sde(prob, 3, bad, 1, seed=0).theory_regime is False
 
 
-# ---------------------------------------------------------------- worker pool
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def assert_same_results(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for name in ("steps", "times", "variances", "consensus_errors",
-                     "final_positions", "final_labels"):
-            assert same_bits(getattr(g, name), getattr(w, name)), name
-        assert sorted(g.checkpoints) == sorted(w.checkpoints)
-        for step, positions in w.checkpoints.items():
-            assert same_bits(g.checkpoints[step], positions), step
-        assert g.theory_regime == w.theory_regime
-
-
-NOISY = HyperParams(consensus_drift=2.0, grad_drift=0.3, consensus_noise=0.4,
-                    grad_noise=0.2, alpha=20.0, step_size=0.02)
-POOL_CASES = {
-    "dim1": (make_centers_problem("quadratic", 1, [[2.0], [-2.0]]), NOISY),
-    "dim3": (make_centers_problem("quadratic", 3, [[1.0, 0.0, -1.0], [-2.0, 0.5, 0.0]]),
-             NOISY),
-    "dim8": (make_centers_problem("quadratic", 8, [[1.0] * 8, [-1.0] * 8]), NOISY),
-    "rastrigin": (make_centers_problem("rastrigin", 2, [[1.0, 1.0], [-1.5, 2.0]]), NOISY),
-    "three_uneven_centers": (
-        make_centers_problem("quadratic", 2, [[0.0, 0.0], [3.0, -0.5], [-1.0, 4.0]]), NOISY),
-    "noise_off": (make_well_problem("quadratic", 2),
-                  HyperParams(consensus_drift=2.0, grad_drift=0.3, alpha=20.0,
-                              step_size=0.02)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(POOL_CASES))
-def test_pool_of_two_gives_the_bits_of_a_pool_of_one(monkeypatch, case):
-    # With room for 8 steps of one run on a pool of one (4 per buffer on a
-    # pool of two), 17 steps end on a partial block, and 5 seeds are split
-    # into groups of 4 and 1 on two threads.
-    problem, hp = POOL_CASES[case]
-    n_per_cluster, t_steps, seeds = 3, 17, [3, 7, 11, 19, 23]
-    monkeypatch.setattr(sde, "NOISE_DOUBLES",
-                        2 * problem.dim * problem.n_clusters * n_per_cluster * 8)
-    kwargs = dict(init=InitSpec(std=1.5), record_every=4, checkpoint_steps=[0, 5, 8, 17])
-    with WorkerPool(1) as one, WorkerPool(2) as two:
-        want = sde.run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds, pool=one,
-                                    **kwargs)
-        got = sde.run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds, pool=two,
-                                   **kwargs)
-        alone = [run_sde(problem, n_per_cluster, hp, t_steps, seed=seed, pool=two, **kwargs)
-                 for seed in seeds]
-    assert_same_results(got, want)
-    assert_same_results(alone, want)
-    assert_same_results(sde.run_sde_ensemble(problem, n_per_cluster, hp, t_steps, seeds,
-                                             **kwargs), want)
-
-
-def test_pool_of_two_draws_into_two_half_budget_buffers_in_order(monkeypatch):
-    problem = make_well_problem("quadratic", 2)
-    per_step = 2 * problem.dim * problem.n_clusters * 5
-    monkeypatch.setattr(sde, "NOISE_DOUBLES", per_step * 8)
-    draws = []
-    draw = sde._draw_noise
-
-    def spy(streams, out):
-        draws.append((id(out.base), out.base.size, out.shape[0]))
-        return draw(streams, out)
-
-    monkeypatch.setattr(sde, "_draw_noise", spy)
-    with WorkerPool(2) as pool:
-        result = run_sde(problem, 5, NOISY, 17, seed=4, pool=pool)
-        threads, pipelined = pool.size, list(draws)
-    cloud = make_cloud(problem, 5, InitSpec(), seed=4)
-    for _ in range(17):
-        cloud = em_step(cloud, problem, NOISY)
-    assert same_bits(result.final_positions, cloud.positions)
-    if threads == 1:
-        assert [steps for _, _, steps in pipelined] == [8, 8, 1]
-        return
-    assert [steps for _, _, steps in pipelined] == [4, 4, 4, 4, 1]
-    buffers = [base for base, _, _ in pipelined]
-    assert len(set(buffers)) == 2
-    assert all(a != b for a, b in zip(buffers, buffers[1:]))
-    assert all(size <= sde.NOISE_DOUBLES // 2 for _, size, _ in pipelined)
-
-
-DIVERGING = HyperParams(consensus_drift=10.0, grad_drift=0.0, consensus_noise=1.0,
-                        alpha=10.0, step_size=1.0)
-
-
-def test_divergence_mid_block_names_the_same_step_on_a_pool_of_two(monkeypatch):
-    # Blocks of 3 steps on a pool of two and 6 on a pool of one; the middle
-    # seed's run diverges inside a block on both.
-    monkeypatch.setattr(sde, "NOISE_DOUBLES", 2 * 2 * 20 * 6)
-    errors = []
-    for threads in (1, 2):
-        with WorkerPool(threads) as pool, pytest.raises(DivergenceError) as err:
-            sde.run_sde_ensemble(single_well(2), 20, DIVERGING, 500, [1, 0, 2], pool=pool)
-        errors.append((err.value.step, err.value.index, str(err.value)))
-    assert errors[0] == errors[1]
-    step, index, message = errors[0]
-    assert step % 3 and step % 6
-    assert f"particle {index} (seed" in message and f"at step {step}" in message
-
 
 def write_sde_config(tmp_path, hyperparams, seeds):
     path = tmp_path / "sde.json"
@@ -506,34 +397,26 @@ def write_sde_config(tmp_path, hyperparams, seeds):
     return str(path)
 
 
-def test_diverging_sde_command_on_two_threads_writes_no_metric_file(tmp_path):
+def test_diverging_sde_command_writes_no_metric_file(tmp_path):
     config = write_sde_config(tmp_path, {"consensus_drift": 10.0, "grad_drift": 0.0,
                                          "consensus_noise": 1.0, "alpha": 10.0,
                                          "step_size": 1.0}, [0, 1])
     out = tmp_path / "out"
-    assert main(["sde", "--config", config, "--out", str(out), "--threads", "2"]) == 3
+    assert main(["sde", "--config", config, "--out", str(out)]) == 3
     assert list(out.iterdir()) == []
 
 
-def test_sde_command_threads_end_with_the_command(tmp_path, monkeypatch):
-    counts = []
-    draw = sde._draw_noise
-
-    def counting(streams, out):
-        counts.append(threading.active_count())
-        return draw(streams, out)
-
-    monkeypatch.setattr(sde, "NOISE_DOUBLES", 2 * 2 * 40 * 10)
-    monkeypatch.setattr(sde, "_draw_noise", counting)
+def test_sde_command_runs_on_one_thread_whatever_threads_asks(tmp_path):
     config = write_sde_config(tmp_path, {"consensus_drift": 4.0, "consensus_noise": 0.2,
                                          "grad_noise": 0.1, "alpha": 100.0,
                                          "step_size": 0.005}, [0, 1])
-    before = threading.active_count()
-    out = tmp_path / "out"
-    assert main(["sde", "--config", config, "--out", str(out), "--threads", "2"]) == 0
-    assert threading.active_count() == before
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["threads"] == min(2, len(os.sched_getaffinity(0)))
-    assert sorted(manifest["timing"]) == ["0", "1"]
-    if manifest["threads"] == 2:
-        assert max(counts) == before + 1
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        assert main(["sde", "--config", config, "--out", str(out), "--threads", threads]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == 1
+        assert sorted(manifest["timing"]) == ["0", "1"]
+        files[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "manifest.json"}
+    assert files["1"] == files["2"] and len(files["1"]) == 3
